@@ -6,8 +6,12 @@ An algebra is built from the base field by two kinds of steps:
   each a_i homogeneous of degree i in A.  B is a free A-module with basis
   1, x, ..., x^{d-1}, so the degree-t component decomposes as
   B_t = A_t + A_{t-1} x + ... + A_{t-d+1} x^{d-1}.
-* quotient by a nonzero homogeneous form g: B_t = A_t / g*A_{t-deg g},
-  with stored projection/section matrices relative to A.
+* quotient by a nonzero homogeneous form g: B_t = A_t / g*A_{t-deg g}, on
+  a subset of A's basis coordinates, with a stored projection relative to A.
+
+Each kind defines its product once, as a block map (`_map`): the base field
+gives a scalar, an extension assembles its base's maps block by block, and a
+quotient projects its parent's map.
 
 All element and matrix arithmetic is exact.  Degrees above the socle degree
 are genuine zero spaces: their elements have empty coefficient vectors and
@@ -17,6 +21,7 @@ maps into or out of them are empty matrices.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from typing import Sequence
 
 from .fields import Field
@@ -196,14 +201,6 @@ class GradedAlgebra:
     def one(self) -> HomogeneousElement:
         return HomogeneousElement(self, 0, (self.field.one,))
 
-    def basis_element(self, degree: int, index: int) -> HomogeneousElement:
-        n = self.dim(degree)
-        if not 0 <= index < n:
-            raise IndexError("basis index out of range")
-        f = self.field
-        coeffs = tuple(f.one if i == index else f.zero for i in range(n))
-        return HomogeneousElement(self, degree, coeffs)
-
     def random_element(self, degree: int, rng) -> HomogeneousElement:
         """Random coefficients over the degree-d basis; deterministic per rng state."""
         n = self.dim(degree)
@@ -226,6 +223,11 @@ class GradedAlgebra:
         return QuotientAlgebra(self, g)
 
     # -- core operations (overridden) -------------------------------------
+
+    def _map(self, w: HomogeneousElement, i: int, cols: Sequence[int]) -> list[tuple]:
+        """Rows of multiplication by w from degree i to degree i+deg w, keeping
+        only the ascending source coordinates cols."""
+        raise NotImplementedError
 
     def multiply(self, u: HomogeneousElement, v: HomogeneousElement) -> HomogeneousElement:
         raise NotImplementedError
@@ -256,13 +258,11 @@ class GradedAlgebra:
         component, in the stored bases."""
         if w.algebra is not self:
             raise ValueError("element belongs to a different algebra")
-        t_out = i + w.degree
-        nr, nc = self.dim(t_out), self.dim(i)
+        nr, nc = self.dim(i + w.degree), self.dim(i)
         if nr == 0 or nc == 0:
             return Matrix.zeros(self.field, nr, nc)
-        cols = [self.multiply(w, self.basis_element(i, idx)).coeffs for idx in range(nc)]
         # entries come straight from field arithmetic, no re-validation needed
-        return Matrix(self.field, nr, nc, tuple(zip(*cols)))
+        return Matrix(self.field, nr, nc, tuple(self._map(w, i, range(nc))))
 
     def socle_dimensions(self) -> tuple[list[int], bool]:
         """Per-degree dimension of the common kernel of all degree-1 generator
@@ -292,6 +292,9 @@ class TrivialAlgebra(GradedAlgebra):
     def __init__(self, field: Field):
         self.field = field
         self.dims = (1,)
+
+    def _map(self, w, i, cols):
+        return [(w.coeffs[0],) * len(cols)] if i == w.degree == 0 else []
 
     def multiply(self, u, v):
         _require_same_algebra(u, v)
@@ -332,8 +335,8 @@ class ExtensionAlgebra(GradedAlgebra):
             sum(base.dim(t - j) for j in range(f.d)) for t in range(sigma + 1)
         )
         self._layout_cache: dict[int, list[tuple[int, int, int]]] = {}
-        # x^m = sum_j rep[m][j] x^j with rep[m][j] in A_{m-j}; rows built on demand.
-        self._powers: list[dict[int, HomogeneousElement]] = []
+        # x^m = sum_j rep[m][j] x^j with rep[m][j] in A_{m-j}; rows from m = d on built on demand.
+        self._powers = [{m: base.one()} for m in range(f.d)]
 
     # -- component layout --------------------------------------------------
 
@@ -351,14 +354,6 @@ class ExtensionAlgebra(GradedAlgebra):
             self._layout_cache[t] = seg
         return seg
 
-    def _split(self, u: HomogeneousElement) -> list[tuple[int, HomogeneousElement]]:
-        parts = []
-        for j, lo, hi in self._layout(u.degree):
-            seg = u.coeffs[lo:hi]
-            if any(seg):
-                parts.append((j, HomogeneousElement(self.base, u.degree - j, seg)))
-        return parts
-
     def _from_parts(self, degree: int, parts: dict[int, HomogeneousElement]) -> HomogeneousElement:
         coeffs: list = []
         for j, lo, hi in self._layout(degree):
@@ -375,26 +370,43 @@ class ExtensionAlgebra(GradedAlgebra):
         """x^m expressed over the module basis: slot j holds an element of
         A_{m-j}.  Built iteratively from x^d = -(a_1 x^{d-1} + ... + a_d)."""
         d = self.d
-        if m < d:
-            return {m: self.base.one()}
-        while len(self._powers) <= m - d:
-            mm = len(self._powers) + d
-            prev = self._power_rep(mm - 1)
-            new: dict[int, HomogeneousElement] = {}
-            for jj, w in prev.items():
-                if jj + 1 < d:
-                    _acc_part(new, jj + 1, w)
-                else:
-                    for i, a in enumerate(self.relation.lower, start=1):
-                        if a.is_zero():
-                            continue
-                        prod = self.base.multiply(w, a)
-                        if not prod.is_zero():
-                            _acc_part(new, d - i, -prod)
+        while len(self._powers) <= m:
+            prev = self._powers[-1]
+            new = {jj + 1: w for jj, w in prev.items() if jj + 1 < d}
+            for i, a in enumerate(self.relation.lower, start=1):
+                if d - 1 in prev and not a.is_zero():
+                    term = -self.base.multiply(prev[d - 1], a)
+                    new[d - i] = new[d - i] + term if d - i in new else term
             self._powers.append(new)
-        return self._powers[m - d]
+        return self._powers[m]
 
     # -- ring structure ------------------------------------------------------
+
+    def _map(self, w, i, cols):
+        """Block (m, k), from A_{i-k} x^k to A_{i+deg w-m} x^m, is the base's
+        map of sum_j w_j [x^m] x^{j+k}, where w = sum_j w_j x^j."""
+        s, d = w.degree, self.d
+        parts = {j: HomogeneousElement(self.base, s - j, w.coeffs[lo:hi])
+                 for j, lo, hi in self._layout(s) if any(w.coeffs[lo:hi])}
+        sources = []  # (k, first and end position in cols, coordinates within A_{i-k})
+        for k, lo, hi in self._layout(i):
+            a, b = bisect_left(cols, lo), bisect_left(cols, hi)
+            if a < b:
+                sources.append((k, a, b, [c - lo for c in cols[a:b]]))
+        out = []
+        for m, lo, hi in self._layout(i + s):
+            rows = [[self.field.zero] * len(cols) for _ in range(hi - lo)]
+            for k, a, b, sub in sources:
+                block = parts.get(m - k)  # below x^d, x^{j+k} is the basis monomial x^m iff j = m-k
+                for j, wj in parts.items():
+                    if j + k >= d and (r := self._power_rep(j + k).get(m)) is not None:
+                        term = self.base.multiply(wj, r)
+                        block = term if block is None else block + term
+                if block is not None and not block.is_zero():
+                    for row, brow in zip(rows, self.base._map(block, i - k, sub)):
+                        row[a:b] = brow
+            out.extend(map(tuple, rows))
+        return out
 
     def multiply(self, u, v):
         _require_same_algebra(u, v)
@@ -403,23 +415,10 @@ class ExtensionAlgebra(GradedAlgebra):
         t = u.degree + v.degree
         if t > self.sigma:
             return self.zero(t)
-        parts: dict[int, HomogeneousElement] = {}
-        for i, ub in self._split(u):
-            for j, vb in self._split(v):
-                prod = self.base.multiply(ub, vb)
-                if prod.is_zero():
-                    continue
-                m = i + j
-                if m < self.d:
-                    _acc_part(parts, m, prod)
-                else:
-                    for jj, w in self._power_rep(m).items():
-                        if w.is_zero():
-                            continue
-                        term = self.base.multiply(prod, w)
-                        if not term.is_zero():
-                            _acc_part(parts, jj, term)
-        return self._from_parts(t, parts)
+        cols = [c for c, x in enumerate(v.coeffs) if x]
+        rows = self._map(u, v.degree, cols)
+        product = Matrix(self.field, len(rows), len(cols), rows).mul_vec([v.coeffs[c] for c in cols])
+        return HomogeneousElement(self, t, product)
 
     def include(self, u: HomogeneousElement) -> HomogeneousElement:
         """Image of a base-algebra element under the inclusion into the extension."""
@@ -458,17 +457,13 @@ class ExtensionAlgebra(GradedAlgebra):
         return f"{self.base.describe()}[{self.var}:deg {self.d}:low {lows}]"
 
 
-def _acc_part(parts: dict[int, HomogeneousElement], j: int, elem: HomogeneousElement) -> None:
-    cur = parts.get(j)
-    parts[j] = elem if cur is None else cur + elem
-
-
 class QuotientAlgebra(GradedAlgebra):
     """B = A/(g) for a nonzero homogeneous form g of degree >= 1.
 
-    The degree-t basis consists of the parent basis coordinates not needed to
-    span g*A_{t-deg g}; projection (pi) and section (iota) matrices relative
-    to the parent are stored per degree, with pi o iota = identity.
+    The degree-t basis consists of the parent basis coordinates `_kept[t]`
+    not needed to span g*A_{t-deg g}.  A class lifts to the parent element
+    with those coordinates, and the projection (pi) relative to the parent is
+    stored per degree.
     """
 
     def __init__(self, parent: GradedAlgebra, g: HomogeneousElement):
@@ -481,13 +476,12 @@ class QuotientAlgebra(GradedAlgebra):
         self.form = g
         d = g.degree
         pi: dict[int, Matrix] = {}
-        iota: dict[int, Matrix] = {}
         kept: dict[int, tuple[int, ...]] = {}
         dims = []
         for t in range(parent.sigma + 1):
             n = parent.dim(t)
             if t < d:
-                pi[t] = iota[t] = Matrix.identity(self.field, n)
+                pi[t] = Matrix.identity(self.field, n)
                 kept[t] = tuple(range(n))
                 dims.append(n)
                 continue
@@ -505,29 +499,29 @@ class QuotientAlgebra(GradedAlgebra):
                     row[pc] = f.neg(red.rows[row_i][q])
                 pi_rows.append(tuple(row))
             pi[t] = Matrix(f, len(keep), n, tuple(pi_rows))
-            iota_rows = tuple(
-                tuple(f.one if keep[j] == r else f.zero for j in range(len(keep)))
-                for r in range(n)
-            )
-            iota[t] = Matrix(f, n, len(keep), iota_rows)
             kept[t] = keep
             dims.append(len(keep))
         self.dims = tuple(dims)
         self._pi = pi
-        self._iota = iota
         self._kept = kept
 
     def projection_matrix(self, t: int) -> Matrix:
         return self._pi[t]
 
     def section_matrix(self, t: int) -> Matrix:
-        return self._iota[t]
+        """The matrix of `lift` in degree t: column j is the parent basis vector _kept[t][j]."""
+        f, keep = self.field, self._kept[t]
+        rows = tuple(tuple(f.one if q == r else f.zero for q in keep) for r in range(self.parent.dim(t)))
+        return Matrix(f, self.parent.dim(t), len(keep), rows)
 
     def lift(self, u: HomogeneousElement) -> HomogeneousElement:
         """Coset representative in the parent algebra."""
         if u.algebra is not self:
             raise ValueError("element belongs to a different algebra")
-        return self.parent.element(u.degree, self._iota[u.degree].mul_vec(u.coeffs))
+        coeffs = [self.field.zero] * self.parent.dim(u.degree)
+        for q, c in zip(self._kept.get(u.degree, ()), u.coeffs):
+            coeffs[q] = c
+        return HomogeneousElement(self.parent, u.degree, tuple(coeffs))
 
     def project(self, pu: HomogeneousElement) -> HomogeneousElement:
         """Class of a parent element."""
@@ -547,15 +541,18 @@ class QuotientAlgebra(GradedAlgebra):
             return self.zero(t)
         return self.project(self.parent.multiply(self.lift(u), self.lift(v)))
 
-    def mult_map_matrix(self, w, i):
-        if w.algebra is not self:
-            raise ValueError("element belongs to a different algebra")
-        t_out = i + w.degree
-        nr, nc = self.dim(t_out), self.dim(i)
-        if nr == 0 or nc == 0:
-            return Matrix.zeros(self.field, nr, nc)
-        inner = self.parent.mult_map_matrix(self.lift(w), i)
-        return self._pi[t_out] @ inner @ self._iota[i]
+    def _map(self, w, i, cols):
+        t = i + w.degree
+        if t > self.sigma:
+            return []
+        inner = self.parent._map(self.lift(w), i, [self._kept[i][c] for c in cols])
+        if t < self.form.degree:
+            return inner
+        return list((self._pi[t] @ Matrix(self.field, len(inner), len(cols), tuple(inner))).rows)
+
+    # Bound here too because bench/tracer.py wraps the methods it finds in
+    # each class's own namespace.
+    mult_map_matrix = GradedAlgebra.mult_map_matrix
 
     def variable_names(self):
         return self.parent.variable_names()

@@ -183,6 +183,16 @@ def _cmd_reproduce(args) -> tuple[Report, int]:
     return report, 0 if pipe.ok else 1
 
 
+def _at_least(low: int):
+    """Argument type: an integer no smaller than low, else a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lefschetz",
@@ -201,25 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="randomized Lefschetz / maximal-rank certification")
     p_check.add_argument("spec", help="algebra spec file")
     p_check.add_argument("--mode", choices=["weak", "strong", "maxrank"], required=True)
-    p_check.add_argument("--trials", type=int, default=8)
+    p_check.add_argument("--trials", type=_at_least(1), default=8)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check)
 
     p_verify = sub.add_parser("verify", help="exhaustive identity sweeps")
     v_sub = p_verify.add_subparsers(dest="target", required=True)
     v_coeff = v_sub.add_parser("coefficients", help="reduction coefficients vs rewriting oracle")
-    v_coeff.add_argument("--kmax", type=int, default=8)
-    v_coeff.add_argument("--rmax", type=int, default=25)
+    v_coeff.add_argument("--kmax", type=_at_least(1), default=8)
+    v_coeff.add_argument("--rmax", type=_at_least(0), default=25)
     v_smatrix = v_sub.add_parser("smatrix", help="Cauchy-type nonsingularity sweep")
-    v_smatrix.add_argument("--rmax", type=int, default=30)
+    v_smatrix.add_argument("--rmax", type=_at_least(1), default=30)
     v_duality = v_sub.add_parser("duality", help="two-sided Lefschetz duality instances")
-    v_duality.add_argument("--instances", type=int, default=50)
+    v_duality.add_argument("--instances", type=_at_least(1), default=50)
     v_duality.add_argument("--seed", type=int, default=0)
     v_block = v_sub.add_parser("blockmatrix", help="block matrix rank vs direct rank")
     v_block.add_argument("--seed", type=int, default=0)
     v_stanley = v_sub.add_parser("stanley", help="strong Lefschetz over monomial complete intersections")
-    v_stanley.add_argument("--dimcap", type=int, default=256)
-    v_stanley.add_argument("--trials", type=int, default=8)
+    v_stanley.add_argument("--dimcap", type=_at_least(1), default=256)
+    v_stanley.add_argument("--trials", type=_at_least(1), default=8)
     v_stanley.add_argument("--seed", type=int, default=0)
     for p in (v_coeff, v_smatrix, v_duality, v_block, v_stanley):
         p.set_defaults(func=_cmd_verify)
@@ -228,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("target", choices=["gegen"],
                          help="gegen: quotient counterexample pipeline")
     p_repro.add_argument("--seed", type=int, default=1)
-    p_repro.add_argument("--trials", type=int, default=8)
+    p_repro.add_argument("--trials", type=_at_least(1), default=8)
     p_repro.set_defaults(func=_cmd_reproduce)
 
     return parser

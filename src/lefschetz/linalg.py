@@ -48,12 +48,6 @@ class Matrix:
         return cls(field, nrows, ncols, checked)
 
     @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "Matrix":
-        if not cols:
-            return cls.zeros(field, nrows or 0, 0)
-        return cls.from_rows(field, list(zip(*cols)))
-
-    @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
         return cls(field, nrows, ncols, tuple((z,) * ncols for _ in range(nrows)))

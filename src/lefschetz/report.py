@@ -86,9 +86,6 @@ class Report:
     extras: dict = dc_field(default_factory=dict)
     timing_seconds: Optional[float] = None
 
-    def all_ok(self) -> bool:
-        return all(v.get("status") in ("ok", "certified_success") for v in self.verdicts)
-
     def to_dict(self, include_timing: bool = True) -> dict:
         out: dict = {"command": self.command}
         if self.field is not None:

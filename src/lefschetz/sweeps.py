@@ -26,7 +26,7 @@ from .theorems import (
     binomial_power_extension,
     build_block_matrix,
     c_coefficient,
-    certified_slp_disproof,
+    _disproof_from_quotient,
     power_reduction_table,
     s_matrix_nonsingular,
     verify_binomial_identity,
@@ -332,7 +332,7 @@ def reproduce_counterexample(
         c_alg = b.quotient(power)
         pipe.hilb_c = c_alg.hilbert_function()
         pipe.seed_c = seed + 1000 + offset
-        pipe.certificate = certified_slp_disproof(b, candidate, DISPROOF_POWER, DISPROOF_DEGREE)
+        pipe.certificate = _disproof_from_quotient(b, candidate, DISPROOF_POWER, DISPROOF_DEGREE, c_alg)
         if tuple(pipe.hilb_c) == HILBERT_POWER_QUOTIENT:
             pipe.c_ok = True
             break

@@ -344,13 +344,14 @@ def certified_slp_disproof(a: GradedAlgebra, l: HomogeneousElement, r: int, i: i
         raise ValueError("l must have degree 1")
     if r < 1 or i < 0:
         raise ValueError("requires r >= 1 and i >= 0")
-    src, tgt = a.dim(i), a.dim(i + r)
     power = l**r
-    if power.is_zero():
-        if src > 0 and tgt > 0:
-            return DisproofCertificate(str(l), r, i, src, tgt, tgt, 0)
-        return None
-    c_alg = a.quotient(power)
+    return _disproof_from_quotient(a, l, r, i, a if power.is_zero() else a.quotient(power))
+
+
+def _disproof_from_quotient(a: GradedAlgebra, l: HomogeneousElement, r: int, i: int,
+                            c_alg: GradedAlgebra) -> Optional[DisproofCertificate]:
+    """The certificate of certified_slp_disproof, given C = A/(l^r) (which is A when l^r = 0)."""
+    src, tgt = a.dim(i), a.dim(i + r)
     dim_c = c_alg.dim(i + r)
     if dim_c > 0 and src + dim_c > tgt:
         return DisproofCertificate(str(l), r, i, src, tgt, dim_c, tgt - dim_c)

@@ -93,9 +93,17 @@ class TestExitCodes:
         assert main(["hilbert", "/nonexistent/path.spec"]) == 2
 
     def test_usage_error_is_two(self, stanley_spec):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", stanley_spec, "--mode", "bogus"])
-        assert exc.value.code == 2
+        for argv in (
+            ["check", stanley_spec, "--mode", "bogus"],
+            ["check", stanley_spec, "--mode", "strong", "--trials", "0"],
+            ["verify", "coefficients", "--rmax", "-1"],
+            ["verify", "duality", "--instances", "-2"],
+            ["reproduce", "gegen", "--trials", "0"],
+            ["verify", "stanley", "--dimcap", "many"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestReproduceCommand:
