@@ -9,6 +9,12 @@ from failed sampling alone.
 Rank values are always exact.  Over the rationals a maximality check first
 tries a fixed-prime modular reduction: a full-rank reduction certifies full
 rank over the rationals, anything else falls back to exact elimination.
+
+A strong check ranks only the central maps l^(sigma-2i): A_i -> A_(sigma-i)
+when they are all bijective: every other l^r: A_i -> A_(i+r) is a first
+(injective) or second (surjective) factor of one of them, so its rank is
+min(dim A_i, dim A_(i+r)) exactly, over any field (Harima et al., The
+Lefschetz Properties, LNM 2080, 2013).  Otherwise every map is ranked.
 """
 
 from __future__ import annotations
@@ -78,7 +84,10 @@ def exact_rank(m: Matrix) -> int:
     return m.rank()
 
 
-def _profile_for_power(a: GradedAlgebra, w_power: HomogeneousElement, k: int, r: int) -> RankProfile:
+def _profile_for_power(a: GradedAlgebra, w_power: HomogeneousElement, k: int, r: int,
+                       maximal: bool = False) -> RankProfile:
+    """Ranks of w_power on every component; with maximal, each rank is known
+    to be the bound and no map is built."""
     rows = []
     deg = w_power.degree
     power_is_zero = w_power.is_zero()
@@ -89,7 +98,7 @@ def _profile_for_power(a: GradedAlgebra, w_power: HomogeneousElement, k: int, r:
         if bound == 0 or power_is_zero:
             rows.append(ProfileRow(i, src, tgt, 0, bound == 0))
             continue
-        rank = exact_rank(a.mult_map_matrix(w_power, i))
+        rank = bound if maximal else exact_rank(a.mult_map_matrix(w_power, i))
         rows.append(ProfileRow(i, src, tgt, rank, rank == bound))
     return RankProfile(k, r, tuple(rows))
 
@@ -113,20 +122,26 @@ def is_strong_lefschetz(a: GradedAlgebra, l: HomogeneousElement) -> tuple[bool, 
     """Whether every power l^r (r = 1..sigma) multiplies with maximal rank.
 
     Powers beyond the socle degree act on zero spaces, so r = 1..sigma decides
-    the property.
+    the property.  It holds when every central map l^(sigma-2i): A_i ->
+    A_(sigma-i), i <= sigma/2, is bijective (Harima-Maeno-Morita-Numata-
+    Wachi-Watanabe, The Lefschetz Properties, LNM 2080, 2013): l^r: A_i ->
+    A_(i+r) is injective if i+r <= sigma-i, as a factor of l^(sigma-2i), and
+    else surjective, as a factor of l^(sigma-2j) with j = sigma-i-r < i, or
+    maps to zero.  Only when a central map is not bijective is every map ranked.
     """
     if l.degree != 1:
         raise ValueError("strong Lefschetz elements have degree 1")
-    profiles = []
-    ok = True
-    power = a.one()
-    for r in range(1, max(a.sigma, 1) + 1):
-        power = a.multiply(power, l)
-        profile = _profile_for_power(a, power, 1, r)
-        profiles.append(profile)
-        if not profile.is_maximal:
-            ok = False
-    return ok, profiles
+    powers = [a.one()]
+    for _ in range(max(a.sigma, 1)):
+        powers.append(a.multiply(powers[-1], l))
+    # A non-symmetric Hilbert function or a zero l^sigma fails before any map is built.
+    h, s = a.hilbert_function(), a.sigma
+    central = h == h[::-1] and all(
+        not powers[s - 2 * i].is_zero() and exact_rank(a.mult_map_matrix(powers[s - 2 * i], i)) == h[i]
+        for i in range(s // 2 + 1)
+    )
+    profiles = [_profile_for_power(a, powers[r], 1, r, central) for r in range(1, len(powers))]
+    return all(p.is_maximal for p in profiles), profiles
 
 
 @dataclass
@@ -153,8 +168,7 @@ def _element_profiles(a: GradedAlgebra, w: HomogeneousElement, mode: str):
         ok, profile = is_lefschetz(a, w)
         return ok, [profile]
     if mode == "strong":
-        ok, profiles = is_strong_lefschetz(a, w)
-        return ok, profiles
+        return is_strong_lefschetz(a, w)
     raise ValueError(f"unknown mode {mode!r}")
 
 

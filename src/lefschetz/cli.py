@@ -250,18 +250,15 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, status = args.func(args)
-    except SpecError as exc:
+        report.timing_seconds = time.perf_counter() - started
+        payload = emit_report(report, fmt=args.format)
+        if args.output:
+            Path(args.output).write_bytes(payload)
+        else:
+            sys.stdout.write(payload.decode())
+    except (SpecError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report.timing_seconds = time.perf_counter() - started
-    payload = emit_report(report, fmt=args.format)
-    if args.output:
-        Path(args.output).write_bytes(payload)
-    else:
-        sys.stdout.write(payload.decode())
     return status
 
 

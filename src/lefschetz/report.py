@@ -52,7 +52,7 @@ def lefschetz_report_to_dict(rep: LefschetzReport, include_profiles: bool = True
 def maxrank_report_to_dict(
     rep: MaximalRankReport, include_profiles: bool = True, include_elements: bool = True
 ) -> dict:
-    out = {
+    return {
         "algebra": rep.algebra,
         "seed": rep.seed,
         "trials": rep.trials,
@@ -69,7 +69,6 @@ def maxrank_report_to_dict(
             for v in rep.per_degree
         ],
     }
-    return out
 
 
 @dataclass
@@ -88,20 +87,10 @@ class Report:
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out: dict = {"command": self.command}
-        if self.field is not None:
-            out["field"] = self.field
-        if self.spec_fingerprint is not None:
-            out["spec_fingerprint"] = self.spec_fingerprint
-        if self.seeds:
-            out["seeds"] = dict(sorted(self.seeds.items()))
-        if self.hilbert is not None:
-            out["hilbert"] = self.hilbert
-        if self.verdicts:
-            out["verdicts"] = self.verdicts
-        if self.profiles:
-            out["profiles"] = self.profiles
-        if self.extras:
-            out["extras"] = self.extras
+        for key in ("field", "spec_fingerprint", "seeds", "hilbert", "verdicts", "profiles", "extras"):
+            value = getattr(self, key)
+            if value is not None and value != {} and value != []:
+                out[key] = value
         if include_timing and self.timing_seconds is not None:
             out["timing_seconds"] = round(self.timing_seconds, 6)
         return out

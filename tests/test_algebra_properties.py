@@ -1,13 +1,21 @@
-"""Property tests of the multiplication core on random towers: pure and
-general monic extensions, quotients, a quotient of a quotient and an
-extension of a quotient, over QQ, GF(2), GF(3) and GF(32003)."""
+"""Property tests of the multiplication core and of the strong Lefschetz
+check on random towers: pure and general monic extensions, quotients, a
+quotient of a quotient and an extension of a quotient, over QQ, GF(2), GF(3)
+and GF(32003)."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from lefschetz.algebra import ExtensionAlgebra, MonicPoly, monomial_complete_intersection, trivial_algebra
-from lefschetz.fields import GF, QQ
+from lefschetz.algebra import (
+    ExtensionAlgebra,
+    MonicPoly,
+    TrivialAlgebra,
+    monomial_complete_intersection,
+    trivial_algebra,
+)
+from lefschetz.certify import _profile_for_power, is_strong_lefschetz
+from lefschetz.fields import GF, QQ, PrimeField
 
 import indep
 
@@ -148,3 +156,38 @@ def test_monomial_maps_match_independent_model(field, caps, seed):
             assert [[int(x) % p for x in row] for row in ours] == [
                 [theirs[r][c] for c in cols] for r in rows
             ]
+
+
+def mci_caps(alg):
+    """The exponents of alg when it is a tower of pure powers in x1, x2, ...
+    over the field, as tests/indep.py models it, else None."""
+    caps, names = [], alg.variable_names()
+    while isinstance(alg, ExtensionAlgebra) and alg.relation.is_pure_power():
+        caps.insert(0, alg.d)
+        alg = alg.base
+    pure = isinstance(alg, TrivialAlgebra) and names == tuple(f"x{n}" for n in range(1, len(caps) + 1))
+    return tuple(caps) if pure else None
+
+
+@BUDGET
+@given(towers())
+def test_strong_check_equals_full_rank_grid(data):
+    # Coefficients in -3..3 also give non-Lefschetz forms: zero, a single
+    # variable, and forms that fail in small characteristic.
+    stages, rng = data
+    for alg in stages:
+        l = random_element(alg, 1, rng)
+        ok, profiles = is_strong_lefschetz(alg, l)
+        grid = [_profile_for_power(alg, l**r, 1, r) for r in range(1, max(alg.sigma, 1) + 1)]
+        assert profiles == grid
+        assert ok == all(p.is_maximal for p in grid)
+        caps = mci_caps(alg)
+        if not caps or not isinstance(alg.field, PrimeField):
+            continue
+        p = alg.field.p
+        exponents = [indep.label_to_exponents(label, len(caps)) for label in alg.basis_labels(1)]
+        ldict = {e: int(c) % p for e, c in zip(exponents, l.coeffs) if int(c) % p}
+        for profile in profiles:
+            lr = indep.poly_power(caps, ldict, profile.power, p)
+            for row in profile.rows:
+                assert row.rank == indep.rank_mod(indep.mult_matrix(caps, lr, profile.power, row.i, p), p)

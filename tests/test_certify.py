@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from lefschetz.algebra import monomial_complete_intersection
+from lefschetz.algebra import MonicPoly, monomial_complete_intersection
 from lefschetz.certify import (
+    ProfileRow,
     Verdict,
     certify_element,
     is_lefschetz,
@@ -91,6 +92,35 @@ class TestLefschetz:
         ok, profiles = is_strong_lefschetz(a, x + y)
         assert not ok
         assert not profiles[1].is_maximal  # fails at r = 2
+
+    def test_strong_fails_at_the_middle_map(self):
+        # B = QQ[x]/(x^3)[y]/(y^2 + x*y), H = 1 2 2 1: y^3 = x^2*y spans B_3,
+        # but y: B_1 -> B_2 sends x and y to xy and -xy.
+        a = monomial_complete_intersection(QQ, (3,))
+        x = a.generators()[0]
+        b = a.extend("y", MonicPoly(a, 2, [x, a.zero(2)]))
+        y = b.generator("y")
+        ok, profiles = is_strong_lefschetz(b, y)
+        assert not (y**3).is_zero()
+        assert not ok
+        assert [(p.power, p.first_failure()) for p in profiles] == [
+            (1, ProfileRow(1, 2, 2, 1, False)), (2, None), (3, None)
+        ]
+
+    def test_strong_success_ranks_only_the_central_maps(self, monkeypatch):
+        a = monomial_complete_intersection(QQ, (3, 4, 4))  # sigma = 8
+        x, y, z = a.generators()
+        built = []
+        original = type(a).mult_map_matrix
+
+        def counting(self, w, i):
+            built.append((w.degree, i))
+            return original(self, w, i)
+
+        monkeypatch.setattr(type(a), "mult_map_matrix", counting)
+        ok, profiles = is_strong_lefschetz(a, x + y.scale(QQ.of(2)) + z.scale(QQ.of(3)))
+        assert ok and built == [(8 - 2 * i, i) for i in range(5)]
+        assert all(row.rank == min(row.dim_source, row.dim_target) for p in profiles for row in p.rows)
 
     def test_degree_one_required_for_strong(self):
         a = stanley22()

@@ -89,8 +89,18 @@ class TestExitCodes:
         assert main(["hilbert", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_missing_file_is_two(self, capsys):
-        assert main(["hilbert", "/nonexistent/path.spec"]) == 2
+    def test_missing_file_is_two(self, stanley_spec, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.spec"
+        latin1.write_bytes("# caf\xe9\nfield rational\nextend x : x^2\n".encode("latin-1"))
+        for argv in (
+            ["hilbert", "/nonexistent/path.spec"],
+            ["hilbert", str(tmp_path)],
+            ["hilbert", str(latin1)],
+            ["--output", str(tmp_path / "no" / "such" / "x.json"), "hilbert", stanley_spec],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
     def test_usage_error_is_two(self, stanley_spec):
         for argv in (
