@@ -485,20 +485,14 @@ class QuotientAlgebra(GradedAlgebra):
                 kept[t] = tuple(range(n))
                 dims.append(n)
                 continue
-            image = parent.mult_map_matrix(g, t - d)
-            red, pivots = image.transpose().rref()
-            keep = tuple(c for c in range(n) if c not in set(pivots))
+            # pi kills g*A_{t-d}: its rows are the kernel basis of the image's
+            # transpose, one per non-pivot coordinate, and those are kept.
+            image = parent.mult_map_matrix(g, t - d).transpose()
+            pivots = set(image.rref()[1])
+            keep = tuple(c for c in range(n) if c not in pivots)
             if not keep:
                 break
-            f = self.field
-            pi_rows = []
-            for q in keep:
-                row = [f.zero] * n
-                row[q] = f.one
-                for row_i, pc in enumerate(pivots):
-                    row[pc] = f.neg(red.rows[row_i][q])
-                pi_rows.append(tuple(row))
-            pi[t] = Matrix(f, len(keep), n, tuple(pi_rows))
+            pi[t] = Matrix(self.field, len(keep), n, tuple(image.kernel_basis()))
             kept[t] = keep
             dims.append(len(keep))
         self.dims = tuple(dims)

@@ -75,8 +75,7 @@ def exact_rank(m: Matrix) -> int:
     if bound == 0:
         return 0
     if bound == 1:
-        zero = m.field.is_zero
-        return 0 if all(zero(x) for row in m.rows for x in row) else 1
+        return 0 if m.is_zero() else 1
     if m.field == QQ and m.nrows * m.ncols > 16:
         lb = modular_rank_lower_bound(m)
         if lb == bound:

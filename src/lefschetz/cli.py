@@ -45,7 +45,12 @@ def _field_label(spec: AlgebraSpec) -> str:
 
 
 def _load_spec(path: str) -> AlgebraSpec:
-    return parse_spec(Path(path).read_text())
+    data = Path(path).read_bytes()
+    try:
+        return parse_spec(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SpecError(line, f"not UTF-8 text in {path}: {exc.reason}") from None
 
 
 def _hilbert_payload(algebra) -> dict:
@@ -249,6 +254,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.output and not Path(args.output).parent.is_dir():
+            raise FileNotFoundError(f"no directory for --output: {Path(args.output).parent}")
         report, status = args.func(args)
         report.timing_seconds = time.perf_counter() - started
         payload = emit_report(report, fmt=args.format)
@@ -256,7 +263,7 @@ def main(argv=None) -> int:
             Path(args.output).write_bytes(payload)
         else:
             sys.stdout.write(payload.decode())
-    except (SpecError, OSError, UnicodeDecodeError) as exc:
+    except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return status

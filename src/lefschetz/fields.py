@@ -74,14 +74,6 @@ class Field:
     def of(self, x):
         raise NotImplementedError
 
-    def pow(self, x, n: int):
-        if n < 0:
-            return self.pow(self.inv(x), -n)
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, x)
-        return out
-
     def sum(self, values):
         out = self.zero
         for v in values:

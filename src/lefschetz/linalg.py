@@ -1,14 +1,18 @@
 """Dense exact matrices: reduced echelon form, rank, kernels, determinants,
 the Cauchy-determinant closed form and anti-triangularization by column ops.
 
-Entries are exact scalars of a single field.  Elimination over GF(p) is
-vectorized with int64 numpy arrays when the modulus is small enough that no
-intermediate product can overflow; the result is identical to the generic
-exact routine.
+Entries are exact scalars of a single field.  Elimination over QQ is
+fraction-free: each row is cleared of its denominators and the integer
+matrix is reduced by Bareiss's rule, so `Fraction`s appear only when the
+reduced echelon form is divided out at the end.  Determinants come from the
+same integer elimination over every field.  Over GF(p), echelon forms and
+products use int64 numpy arrays mod p when no intermediate product can
+overflow; larger primes take the generic exact routine, with the same result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -139,14 +143,17 @@ class Matrix:
         if self._rref_cache is None:
             f = self.field
             if self.nrows == 0 or self.ncols == 0:
-                self._rref_cache = (self, ())
+                rows, pivots = self.rows, ()
             elif isinstance(f, PrimeField) and f.p <= _NP_MAX_P:
                 arr, pivots = _rref_modp(self._np(), f.p)
-                red = Matrix(f, self.nrows, self.ncols, tuple(tuple(int(x) for x in row) for row in arr))
-                self._rref_cache = (red, tuple(pivots))
+                rows = tuple(tuple(int(x) for x in row) for row in arr)
+            elif f == QQ:
+                m, _ = _integer_rows(f, self.rows)
+                pivots, _, d = _bareiss(m, self.ncols, full=True)
+                rows = tuple(tuple(Fraction(x, d) if x else f.zero for x in row) for row in m)
             else:
                 rows, pivots = _rref_generic(f, self.rows, self.nrows, self.ncols)
-                self._rref_cache = (Matrix(f, self.nrows, self.ncols, rows), tuple(pivots))
+            self._rref_cache = (Matrix(f, self.nrows, self.ncols, rows), tuple(pivots))
         return self._rref_cache
 
     def rank(self) -> int:
@@ -156,76 +163,84 @@ class Matrix:
         """Basis of the null space, one vector per non-pivot column."""
         red, pivots = self.rref()
         f = self.field
-        pivot_set = set(pivots)
         basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
+        for free in sorted(set(range(self.ncols)).difference(pivots)):
             v = [f.zero] * self.ncols
             v[free] = f.one
-            for row_i, pc in enumerate(pivots):
-                v[pc] = f.neg(red.rows[row_i][free])
+            for row, pc in zip(red.rows, pivots):
+                v[pc] = f.neg(row[free])
             basis.append(tuple(v))
         return basis
 
     def det(self):
-        """Exact determinant via elimination; the empty 0x0 matrix has determinant 1."""
+        """Exact determinant by fraction-free elimination; the 0x0 matrix has determinant 1."""
         if self.nrows != self.ncols:
             raise ValueError("determinant requires a square matrix")
         f = self.field
-        n = self.nrows
-        if n == 0:
-            return f.one
-        m = [list(row) for row in self.rows]
-        sign = 1
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if not f.is_zero(m[i][c]):
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return f.zero
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                sign = -sign
-            inv_p = f.inv(m[c][c])
-            for i in range(c + 1, n):
-                if f.is_zero(m[i][c]):
-                    continue
-                factor = f.mul(m[i][c], inv_p)
-                m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[c])]
-        out = f.one
-        for i in range(n):
-            out = f.mul(out, m[i][i])
-        return out if sign == 1 else f.neg(out)
+        m, scale = _integer_rows(f, self.rows)
+        pivots, sign, d = _bareiss(m, self.ncols, full=False)
+        if len(pivots) < self.nrows:
+            return f.zero
+        return f.div(f.of(sign * d), f.of(scale))
+
+
+def _integer_rows(f: Field, rows):
+    """Integer rows and the product of their scale factors: a QQ row times the
+    lcm of its denominators, a GF(p) row's representatives in [0, p) as is."""
+    if isinstance(f, PrimeField):
+        return [list(row) for row in rows], 1
+    out, scale = [], 1
+    for row in rows:
+        lcm = math.lcm(*{x.denominator for x in row})
+        out.append([x.numerator * (lcm // x.denominator) for x in row])
+        scale *= lcm
+    return out, scale
+
+
+def _bareiss(m: list, ncols: int, full: bool):
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
+    integer rows m, in place, with the pivots of `_rref_generic`.  With pivot
+    d, each other row becomes (d*row - a*pivot_row) // prev, a its entry in
+    the pivot column and prev the previous pivot: an exact division.  With
+    `full` the rows above the pivot are cleared too, which leaves every pivot
+    equal to the last.  Returns the pivot columns, the sign of the swaps and
+    the last pivot (1 if none): the determinant of a square full-rank m."""
+    pivots, sign, prev = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
+        top = m[r]
+        d = top[c]
+        for i in range(0 if full else r + 1, len(m)):
+            a = m[i][c]
+            if i != r and (a or d != prev):  # a == 0 with d == prev leaves the row as it is
+                m[i] = [(d * x - a * y) // prev for x, y in zip(m[i], top)]
+        pivots.append(c)
+        prev = d
+    return pivots, sign, prev
 
 
 def _rref_generic(f: Field, rows, nrows: int, ncols: int):
     m = [list(r) for r in rows]
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not f.is_zero(m[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
+        r = len(pivots)
+        i = next((i for i in range(r, nrows) if not f.is_zero(m[i][c])), None)
+        if i is None:
             continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
+        m[r], m[i] = m[i], m[r]
         inv_p = f.inv(m[r][c])
         m[r] = [f.mul(inv_p, x) for x in m[r]]
         for i in range(nrows):
-            if i == r or f.is_zero(m[i][c]):
-                continue
-            factor = m[i][c]
-            m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
+            if i != r and not f.is_zero(m[i][c]):
+                factor = m[i][c]
+                m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
     return tuple(tuple(row) for row in m), pivots
 
 
@@ -272,17 +287,12 @@ def modular_rank_lower_bound(m: Matrix, p: int = WITNESS_PRIME) -> Optional[int]
     bound for the exact rank.  None when some denominator vanishes mod p."""
     if m.field != QQ:
         raise ValueError("modular rank bounds apply to rational matrices")
-    gf = GF(p)
-    reduced = []
-    for row in m.rows:
-        out = []
-        for x in row:
-            den = x.denominator % p
-            if den == 0:
-                return None
-            out.append(x.numerator % p * pow(den, -1, p) % p)
-        reduced.append(out)
-    return Matrix(gf, m.nrows, m.ncols, tuple(tuple(r) for r in reduced)).rank()
+    # Each row is scaled by the lcm of its denominators, a unit mod p unless
+    # p divides one of them, so the rank mod p is that of the reduced rows.
+    rows, scale = _integer_rows(QQ, m.rows)
+    if scale % p == 0:
+        return None
+    return Matrix(GF(p), m.nrows, m.ncols, tuple(tuple(x % p for x in row) for row in rows)).rank()
 
 
 def cauchy_determinant(field: Field, u: Sequence, v: Sequence):

@@ -75,9 +75,7 @@ def _parse_polynomial(text: str, line: int, known: set[str]) -> list[Term]:
             exps[var] = exps.get(var, 0) + exp
         key = tuple(sorted(exps.items()))
         acc[key] = acc.get(key, 0) + coeff
-    terms = [(c, key) for key, c in acc.items() if c != 0]
-    terms.sort(key=lambda t: t[1])
-    return [(c, key) for c, key in terms]
+    return [(acc[key], key) for key in sorted(acc) if acc[key] != 0]
 
 
 def _term_degree(term: Term) -> int:

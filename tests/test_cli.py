@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lefschetz import cli
 from lefschetz.cli import main
 from lefschetz.report import Report, emit_report
 
@@ -101,6 +102,19 @@ class TestExitCodes:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            if argv[-1] == str(latin1):
+                assert str(latin1) in err, err
+
+    def test_missing_output_directory_is_two_before_the_command_runs(self, tmp_path, capsys, monkeypatch):
+        def command_must_not_run(args):
+            raise AssertionError("the command ran before --output was checked")
+
+        monkeypatch.setattr(cli, "_cmd_reproduce", command_must_not_run)
+        missing = tmp_path / "no" / "such" / "x.json"
+        assert main(["--output", str(missing), "reproduce", "gegen", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not missing.parent.exists()
 
     def test_usage_error_is_two(self, stanley_spec):
         for argv in (

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lefschetz.fields import GF, QQ
 from lefschetz.linalg import (
@@ -62,14 +63,16 @@ class TestRref:
 
     def test_numpy_path_matches_generic_elimination(self):
         rng = random.Random(11)
-        f = GF(32003)
-        for _ in range(25):
-            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-            rows = tuple(tuple(rng.randrange(32003) for _ in range(nc)) for _ in range(nr))
-            m = Matrix(f, nr, nc, rows)
-            red, pivots = m.rref()
-            rows_generic, pivots_generic = _rref_generic(f, rows, nr, nc)
-            assert red.rows == rows_generic and pivots == tuple(pivots_generic)
+        # 3037000493 is the largest prime <= _NP_MAX_P.
+        for p in (32003, 3037000493):
+            f = GF(p)
+            for _ in range(25):
+                nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+                rows = tuple(tuple(rng.randrange(p) for _ in range(nc)) for _ in range(nr))
+                m = Matrix(f, nr, nc, rows)
+                red, pivots = m.rref()
+                rows_generic, pivots_generic = _rref_generic(f, rows, nr, nc)
+                assert red.rows == rows_generic and pivots == tuple(pivots_generic)
 
 
 class TestKernel:
@@ -220,13 +223,101 @@ def test_modular_rank_lower_bound_on_integer_matrices():
 
 
 def test_modular_matmul_chunking_exact():
-    p = 2147483647
-    f = GF(p)
     rng = random.Random(9)
-    a = Matrix.from_rows(f, [[rng.randrange(p) for _ in range(7)] for _ in range(3)])
-    b = Matrix.from_rows(f, [[rng.randrange(p) for _ in range(4)] for _ in range(7)])
-    prod = a @ b
-    for i in range(3):
-        for j in range(4):
-            expected = sum(a.entry(i, k) * b.entry(k, j) for k in range(7)) % p
-            assert prod.entry(i, j) == expected
+    # Chunks of 2 and of 1 column under _NP_MAX_P; the generic product above it.
+    for p in (2147483647, 3037000493, 4294967291):
+        f = GF(p)
+        a = Matrix.from_rows(f, [[rng.randrange(p) for _ in range(7)] for _ in range(3)])
+        b = Matrix.from_rows(f, [[rng.randrange(p) for _ in range(4)] for _ in range(7)])
+        prod = a @ b
+        for i in range(3):
+            for j in range(4):
+                expected = sum(a.entry(i, k) * b.entry(k, j) for k in range(7)) % p
+                assert prod.entry(i, j) == expected
+
+
+def test_modular_matmul_worst_case_entries():
+    # Every entry p-1: each chunk sum is chunk*(p-1)^2, on top of an acc < p.
+    for p in (2147483647, 3037000493, 4294967291):
+        f = GF(p)
+        a = Matrix.from_rows(f, [[p - 1] * 7] * 3)
+        b = Matrix.from_rows(f, [[p - 1] * 4] * 7)
+        assert (a @ b).rows == ((7 * (p - 1) ** 2 % p,) * 4,) * 3
+
+
+# -- fraction-free elimination against the generic one and against Leibniz ----
+
+# Fixed examples, and no example database on disk.
+BUDGET = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+DET_FIELDS = (QQ, GF(2), GF(3), GF(32003), GF(4294967291))
+
+
+def scalars(field):
+    if field == QQ:
+        nonzero = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from((1, 2, 3, 5, 7)))
+        return st.one_of(st.just(Fraction(0)), nonzero)
+    return st.one_of(st.just(0), st.integers(0, field.p - 1))
+
+
+@st.composite
+def matrices(draw, field, max_n=6, square=False):
+    """A random matrix of shape up to max_n x max_n; half of them a product
+    through a smaller inner dimension, so rank-deficient."""
+    nr = draw(st.integers(0, max_n))
+    nc = nr if square else draw(st.integers(0, max_n))
+
+    def block(r, c):
+        rows = [draw(st.lists(scalars(field), min_size=c, max_size=c)) for _ in range(r)]
+        return Matrix(field, r, c, tuple(map(tuple, rows)))
+
+    if min(nr, nc) >= 2 and draw(st.booleans()):
+        k = draw(st.integers(1, min(nr, nc) - 1))
+        return block(nr, k) @ block(k, nc)
+    return block(nr, nc)
+
+
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations."""
+    f = m.field
+    total = f.zero
+    for perm in itertools.permutations(range(m.nrows)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(m.nrows), 2))
+        term = f.one
+        for i, j in enumerate(perm):
+            term = f.mul(term, m.rows[i][j])
+        total = f.sub(total, term) if inversions % 2 else f.add(total, term)
+    return total
+
+
+@BUDGET
+@given(matrices(QQ))
+def test_rational_rref_matches_generic_elimination(m):
+    red, pivots = m.rref()
+    rows_generic, pivots_generic = _rref_generic(QQ, m.rows, m.nrows, m.ncols)
+    assert red.rows == rows_generic and pivots == tuple(pivots_generic)
+    basis = m.kernel_basis()
+    assert len(basis) == m.ncols - len(pivots)
+    for v in basis:
+        assert not any(m.mul_vec(v))
+
+
+@BUDGET
+@given(matrices(QQ))
+def test_modular_rank_lower_bound_is_the_rank_mod_p(m):
+    for p in (2, 3, 5, 7):
+        if any(x.denominator % p == 0 for row in m.rows for x in row):
+            assert modular_rank_lower_bound(m, p) is None
+        else:
+            gf = GF(p)
+            reduced = Matrix(gf, m.nrows, m.ncols, tuple(tuple(gf.of(x) for x in row) for row in m.rows))
+            assert modular_rank_lower_bound(m, p) == reduced.rank()
+
+
+@pytest.mark.parametrize("field", DET_FIELDS, ids=repr)
+def test_det_matches_leibniz(field):
+    @BUDGET
+    @given(matrices(field, max_n=5, square=True))
+    def check(m):
+        assert m.det() == leibniz_det(m)
+
+    check()
