@@ -142,9 +142,9 @@ class MonicPoly:
             raise ValueError("evaluation point from a different algebra")
         if at.degree != 1:
             raise ValueError("evaluation point must have degree 1")
-        out = at**self.d
-        for i, a in enumerate(self.lower, start=1):
-            out = out + self.algebra.multiply(a, at ** (self.d - i))
+        out = at + self.lower[0]
+        for a in self.lower[1:]:
+            out = self.algebra.multiply(out, at) + a
         return out
 
     def scaled(self, c) -> "MonicPoly":
@@ -330,11 +330,17 @@ class ExtensionAlgebra(GradedAlgebra):
         self.var = var
         self.relation = f
         self.d = f.d
-        sigma = base.sigma + f.d - 1
-        self.dims = tuple(
-            sum(base.dim(t - j) for j in range(f.d)) for t in range(sigma + 1)
-        )
-        self._layout_cache: dict[int, list[tuple[int, int, int]]] = {}
+        # Degree t is laid out as segments (x-power j, start, end), one per
+        # nonzero A_{t-j} x^j.  A base component is nonzero exactly up to its
+        # socle degree, so j runs over [max(0, t - sigma_A), min(d - 1, t)].
+        self._layouts: dict[int, list[tuple[int, int, int]]] = {}
+        for t in range(base.sigma + f.d):
+            seg, lo = [], 0
+            for j in range(max(0, t - base.sigma), min(f.d - 1, t) + 1):
+                seg.append((j, lo, lo + base.dims[t - j]))
+                lo += base.dims[t - j]
+            self._layouts[t] = seg
+        self.dims = tuple(seg[-1][2] for seg in self._layouts.values())
         # x^m = sum_j rep[m][j] x^j with rep[m][j] in A_{m-j}; rows from m = d on built on demand.
         self._powers = [{m: base.one()} for m in range(f.d)]
 
@@ -342,27 +348,7 @@ class ExtensionAlgebra(GradedAlgebra):
 
     def _layout(self, t: int) -> list[tuple[int, int, int]]:
         """Segments (x-power j, start, end) of the degree-t coefficient vector."""
-        seg = self._layout_cache.get(t)
-        if seg is None:
-            seg = []
-            lo = 0
-            for j in range(self.d):
-                w = self.base.dim(t - j)
-                if w:
-                    seg.append((j, lo, lo + w))
-                    lo += w
-            self._layout_cache[t] = seg
-        return seg
-
-    def _from_parts(self, degree: int, parts: dict[int, HomogeneousElement]) -> HomogeneousElement:
-        coeffs: list = []
-        for j, lo, hi in self._layout(degree):
-            p = parts.get(j)
-            if p is None:
-                coeffs.extend((self.field.zero,) * (hi - lo))
-            else:
-                coeffs.extend(p.coeffs)
-        return HomogeneousElement(self, degree, tuple(coeffs))
+        return self._layouts.get(t, [])
 
     # -- power reduction -----------------------------------------------------
 
@@ -424,14 +410,20 @@ class ExtensionAlgebra(GradedAlgebra):
         """Image of a base-algebra element under the inclusion into the extension."""
         if u.algebra is not self.base:
             raise ValueError("element does not belong to the base algebra")
-        return self._from_parts(u.degree, {0: u})
+        # The x^0 segment comes first in every degree.
+        pad = (self.field.zero,) * (self.dim(u.degree) - len(u.coeffs))
+        return HomogeneousElement(self, u.degree, u.coeffs + pad)
 
     def variable_names(self):
         return self.base.variable_names() + (self.var,)
 
     def generators(self):
-        lifted = tuple(self._from_parts(1, {0: g}) for g in self.base.generators())
-        return lifted + (self._from_parts(1, dict(self._power_rep(1))),)
+        lifted = tuple(self.include(g) for g in self.base.generators())
+        if self.d == 1:  # x = -a_1
+            return lifted + (self.include(-self.relation.lower[0]),)
+        # x is the basis vector of A_0 x, after A_1.
+        f = self.field
+        return lifted + (HomogeneousElement(self, 1, (f.zero,) * self.base.dim(1) + (f.one,)),)
 
     def basis_labels(self, degree):
         labels = []

@@ -242,7 +242,6 @@ class DegreeVerdict:
     verdict: Verdict
     element: Optional[str]
     trials_used: int
-    profile: Optional[RankProfile]
 
 
 @dataclass
@@ -272,7 +271,6 @@ def maximal_rank_property(a: GradedAlgebra, trials: int = 8, seed: int = 0) -> M
         verdict = Verdict.SEARCH_INCONCLUSIVE
         element = None
         used = 0
-        best = None
         best_score = -1
         for trial in range(1, trials + 1):
             w = a.random_element(d, rng)
@@ -280,11 +278,11 @@ def maximal_rank_property(a: GradedAlgebra, trials: int = 8, seed: int = 0) -> M
                 continue
             profile = _profile_for_power(a, w, d, 1)
             if profile.is_maximal:
-                verdict, element, used, best = Verdict.CERTIFIED_SUCCESS, str(w), trial, profile
+                verdict, element, used = Verdict.CERTIFIED_SUCCESS, str(w), trial
                 break
             score = profile.maximal_count()
             if score > best_score:
-                best_score, best, element, used = score, profile, str(w), trial
-        per_degree.append(DegreeVerdict(d, verdict, element, used, best))
+                best_score, element, used = score, str(w), trial
+        per_degree.append(DegreeVerdict(d, verdict, element, used))
     return MaximalRankReport(a.fingerprint(), seed, trials, per_degree,
                              isinstance(a.field, PrimeField))

@@ -18,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from .algebra import check_symmetric_unimodal
+from .algebra import GradedAlgebra, check_symmetric_unimodal
 from .certify import maximal_rank_property, search_strong, search_weak
 from .report import (
     Report,
@@ -29,6 +29,7 @@ from .report import (
 )
 from .specfile import AlgebraSpec, SpecError, parse_spec
 from .sweeps import (
+    COUNTEREXAMPLE_PRIME,
     HILBERT_GENERIC_QUOTIENT,
     HILBERT_POWER_QUOTIENT,
     reproduce_counterexample,
@@ -44,13 +45,18 @@ def _field_label(spec: AlgebraSpec) -> str:
     return "rational" if spec.field.kind == "rationals" else f"prime {spec.field.char}"
 
 
-def _load_spec(path: str) -> AlgebraSpec:
+def _load_spec(path: str) -> tuple[AlgebraSpec, GradedAlgebra]:
+    """The parsed spec and its algebra; a SpecError names the file and the line."""
     data = Path(path).read_bytes()
     try:
-        return parse_spec(data.decode("utf-8"))
+        spec = parse_spec(data.decode("utf-8"))
+        return spec, spec.build()
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise SpecError(line, f"not UTF-8 text in {path}: {exc.reason}") from None
+        error = SpecError(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc.reason}")
+    except SpecError as exc:
+        error = exc
+    error.args = (f"{path}: {error}",)
+    raise error from None
 
 
 def _hilbert_payload(algebra) -> dict:
@@ -69,8 +75,7 @@ def _hilbert_payload(algebra) -> dict:
 
 
 def _cmd_hilbert(args) -> tuple[Report, int]:
-    spec = _load_spec(args.spec)
-    algebra = spec.build()
+    spec, algebra = _load_spec(args.spec)
     report = Report(
         command=f"hilbert {args.spec}",
         field=_field_label(spec),
@@ -81,8 +86,7 @@ def _cmd_hilbert(args) -> tuple[Report, int]:
 
 
 def _cmd_check(args) -> tuple[Report, int]:
-    spec = _load_spec(args.spec)
-    algebra = spec.build()
+    spec, algebra = _load_spec(args.spec)
     report = Report(
         command=f"check {args.spec} --mode {args.mode} --trials {args.trials} --seed {args.seed}",
         field=_field_label(spec),
@@ -99,14 +103,14 @@ def _cmd_check(args) -> tuple[Report, int]:
              "detail": f"trials {v.trials_used}"}
             for v in rep.per_degree
         ]
-        report.extras["maxrank"] = maxrank_report_to_dict(rep, include_profiles=False, include_elements=False)
+        report.extras["maxrank"] = maxrank_report_to_dict(rep)
         return report, 0 if rep.all_certified else 1
     search = search_weak if args.mode == "weak" else search_strong
     rep = search(algebra, trials=args.trials, seed=args.seed)
     detail = f"element {rep.element}, trials {rep.trials_used}" if rep.element else None
     report.verdicts = [{"name": f"search_{args.mode}", "status": str(rep.verdict), "detail": detail}]
     report.profiles = [profile_to_dict(p) for p in rep.profiles]
-    report.extras["search"] = lefschetz_report_to_dict(rep, include_profiles=False)
+    report.extras["search"] = lefschetz_report_to_dict(rep)
     return report, 0 if rep.certified else 1
 
 
@@ -151,7 +155,7 @@ def _cmd_reproduce(args) -> tuple[Report, int]:
     pipe = reproduce_counterexample(seed=args.seed, trials=args.trials)
     report = Report(
         command=f"reproduce gegen --seed {args.seed}",
-        field=f"prime {pipe.prime}",
+        field=f"prime {COUNTEREXAMPLE_PRIME}",
         seeds={"pipeline": pipe.seed},
     )
 
@@ -184,7 +188,7 @@ def _cmd_reproduce(args) -> tuple[Report, int]:
     if pipe.maxrank is not None:
         stage("maximal_rank_property", pipe.maxrank_ok,
               f"degrees 1..{len(pipe.maxrank.per_degree)}")
-        report.extras["maxrank"] = maxrank_report_to_dict(pipe.maxrank, include_profiles=False, include_elements=False)
+        report.extras["maxrank"] = maxrank_report_to_dict(pipe.maxrank)
     return report, 0 if pipe.ok else 1
 
 

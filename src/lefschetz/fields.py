@@ -25,7 +25,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 2^64)."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n == small:
             return True
         if n % small == 0:
@@ -80,6 +80,12 @@ class Field:
             out = self.add(out, v)
         return out
 
+    def eq(self, a, b) -> bool:
+        return a == b
+
+    def is_zero(self, x) -> bool:
+        return x == 0
+
     def to_str(self, x) -> str:
         return str(x)
 
@@ -118,12 +124,6 @@ class RationalField(Field):
         if b == 0:
             raise ZeroDivisionError("division by zero")
         return a / b
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, x) -> bool:
-        return x == 0
 
     def pow(self, x: Fraction, n: int) -> Fraction:
         if n < 0 and x == 0:
@@ -198,12 +198,6 @@ class PrimeField(Field):
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, x) -> bool:
-        return x == 0
 
     def pow(self, x, n: int):
         return pow(x, n, self.p)

@@ -32,7 +32,7 @@ def profile_to_dict(profile: RankProfile) -> dict:
     }
 
 
-def lefschetz_report_to_dict(rep: LefschetzReport, include_profiles: bool = True) -> dict:
+def lefschetz_report_to_dict(rep: LefschetzReport) -> dict:
     out = {
         "algebra": rep.algebra,
         "mode": rep.mode,
@@ -44,14 +44,10 @@ def lefschetz_report_to_dict(rep: LefschetzReport, include_profiles: bool = True
     }
     if rep.failure is not None:
         out["failure"] = {"power": rep.failure[0], "i": rep.failure[1]}
-    if include_profiles:
-        out["profiles"] = [profile_to_dict(p) for p in rep.profiles]
     return out
 
 
-def maxrank_report_to_dict(
-    rep: MaximalRankReport, include_profiles: bool = True, include_elements: bool = True
-) -> dict:
+def maxrank_report_to_dict(rep: MaximalRankReport) -> dict:
     return {
         "algebra": rep.algebra,
         "seed": rep.seed,
@@ -63,8 +59,6 @@ def maxrank_report_to_dict(
                 "degree": v.degree,
                 "verdict": str(v.verdict),
                 "trials_used": v.trials_used,
-                **({"element": v.element} if include_elements else {}),
-                **({"profile": profile_to_dict(v.profile)} if include_profiles and v.profile else {}),
             }
             for v in rep.per_degree
         ],

@@ -15,7 +15,6 @@ from typing import Iterator, Optional
 
 from .algebra import GradedAlgebra, MonicPoly, monomial_complete_intersection, trivial_algebra
 from .certify import (
-    LefschetzReport,
     MaximalRankReport,
     maximal_rank_property,
     search_strong,
@@ -43,10 +42,6 @@ class SweepResult:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def summary(self) -> str:
-        status = "ok" if self.passed else f"{len(self.failures)} FAILED"
-        return f"{self.name}: {self.total} checks, {status}"
 
 
 def sweep_coefficient_identities(k_max: int = 8, r_max: int = 25) -> SweepResult:
@@ -97,29 +92,24 @@ def random_monic(a: GradedAlgebra, d: int, rng: random.Random) -> MonicPoly:
     return MonicPoly(a, d, lower)
 
 
-def random_tower(
-    field: Field,
-    rng: random.Random,
-    max_depth: int = 3,
-    max_sigma: int = 10,
-    degree_choices: tuple[int, ...] = (2, 3, 4),
-    pure_prob: float = 0.5,
-    var_prefix: str = "u",
-) -> GradedAlgebra:
-    """Random iterated monic extension of the base field."""
+def random_tower(field: Field, rng: random.Random, max_depth: int = 3, max_sigma: int = 10) -> GradedAlgebra:
+    """Random iterated monic extension of the base field, in variables u1,
+    u2, ...: each step has degree 2, 3 or 4 (those that keep the socle degree
+    at most max_sigma) and is a pure power with probability 1/2, else a
+    random monic polynomial."""
     algebra: GradedAlgebra = trivial_algebra(field)
     depth = rng.randint(1, max_depth)
     for idx in range(1, depth + 1):
         room = max_sigma - algebra.sigma
-        choices = [d for d in degree_choices if d - 1 <= room]
+        choices = [d for d in (2, 3, 4) if d - 1 <= room]
         if not choices:
             break
         d = rng.choice(choices)
-        if rng.random() < pure_prob:
+        if rng.random() < 0.5:
             f = MonicPoly.pure_power(algebra, d)
         else:
             f = random_monic(algebra, d, rng)
-        algebra = algebra.extend(f"{var_prefix}{idx}", f)
+        algebra = algebra.extend(f"u{idx}", f)
     return algebra
 
 
@@ -247,7 +237,6 @@ class CounterexamplePipeline:
     random degree-8 form, certify the failure of the 9th power of a random
     linear form by quotient dimensions, and check the maximal rank property."""
 
-    prime: int
     seed: int
     hilb_base: list[int]
     base_ok: bool
@@ -261,7 +250,6 @@ class CounterexamplePipeline:
     certificate_ok: bool = False
     maxrank: Optional[MaximalRankReport] = None
     maxrank_ok: bool = False
-    strong_search: Optional[LefschetzReport] = None
     elapsed_b: float = 0.0
     elapsed_c: float = 0.0
     elapsed_maxrank: float = 0.0
@@ -271,8 +259,8 @@ class CounterexamplePipeline:
         return self.base_ok and self.b_ok and self.c_ok and self.certificate_ok and self.maxrank_ok
 
 
-def counterexample_base(prime: int = COUNTEREXAMPLE_PRIME) -> GradedAlgebra:
-    return monomial_complete_intersection(GF(prime), COUNTEREXAMPLE_EXPONENTS)
+def counterexample_base() -> GradedAlgebra:
+    return monomial_complete_intersection(GF(COUNTEREXAMPLE_PRIME), COUNTEREXAMPLE_EXPONENTS)
 
 
 def generic_form_quotient(a: GradedAlgebra, degree: int, seed: int, expected: tuple[int, ...], attempts: int = 3):
@@ -294,20 +282,10 @@ def generic_form_quotient(a: GradedAlgebra, degree: int, seed: int, expected: tu
     return quot, seed_used, False
 
 
-def reproduce_counterexample(
-    seed: int = 1,
-    prime: int = COUNTEREXAMPLE_PRIME,
-    trials: int = 8,
-    attempts: int = 3,
-    run_maxrank: bool = True,
-    run_strong_search: bool = False,
-    strong_trials: int = 10,
-) -> CounterexamplePipeline:
-    a = counterexample_base(prime)
+def reproduce_counterexample(seed: int = 1, trials: int = 8, attempts: int = 3) -> CounterexamplePipeline:
+    a = counterexample_base()
     hilb_a = a.hilbert_function()
-    pipe = CounterexamplePipeline(
-        prime=prime, seed=seed, hilb_base=hilb_a, base_ok=tuple(hilb_a) == HILBERT_BASE
-    )
+    pipe = CounterexamplePipeline(seed=seed, hilb_base=hilb_a, base_ok=tuple(hilb_a) == HILBERT_BASE)
 
     t0 = time.perf_counter()
     b, seed_b, matched = generic_form_quotient(a, 8, seed, HILBERT_GENERIC_QUOTIENT, attempts)
@@ -340,12 +318,8 @@ def reproduce_counterexample(
     pipe.certificate_ok = pipe.certificate is not None and pipe.certificate.rank == expected_rank
     pipe.elapsed_c = time.perf_counter() - t0
 
-    if run_strong_search:
-        pipe.strong_search = search_strong(b, trials=strong_trials, seed=seed)
-
-    if run_maxrank:
-        t0 = time.perf_counter()
-        pipe.maxrank = maximal_rank_property(b, trials=trials, seed=seed)
-        pipe.maxrank_ok = pipe.maxrank.all_certified
-        pipe.elapsed_maxrank = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    pipe.maxrank = maximal_rank_property(b, trials=trials, seed=seed)
+    pipe.maxrank_ok = pipe.maxrank.all_certified
+    pipe.elapsed_maxrank = time.perf_counter() - t0
     return pipe

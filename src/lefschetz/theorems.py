@@ -89,7 +89,7 @@ def verify_binomial_identity(r: int, j: int, k: int) -> bool:
 # -- block matrix machinery ---------------------------------------------------
 
 
-def binomial_power_extension(a: GradedAlgebra, elem: HomogeneousElement, k: int, var: str = "x") -> ExtensionAlgebra:
+def binomial_power_extension(a: GradedAlgebra, elem: HomogeneousElement, k: int) -> ExtensionAlgebra:
     """A[x]/((elem + x)^k), expanded into the monic form
     x^k + sum binomial(k,i) elem^i x^{k-i}."""
     if elem.degree != 1:
@@ -97,7 +97,7 @@ def binomial_power_extension(a: GradedAlgebra, elem: HomogeneousElement, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     lower = [(elem**i).scale(a.field.of(binomial(k, i))) for i in range(1, k + 1)]
-    return a.extend(var, MonicPoly(a, k, lower))
+    return a.extend("x", MonicPoly(a, k, lower))
 
 
 def block_grid_dims(a: GradedAlgebra, k: int, q: int, t: int) -> tuple[list[int], list[int]]:
@@ -211,14 +211,14 @@ class DualityOutcome:
         return self.lhs == self.rhs
 
 
-def _fresh_var(a: GradedAlgebra, base: str = "w") -> str:
+def _fresh_var(a: GradedAlgebra) -> str:
     names = set(a.variable_names())
-    if base not in names:
-        return base
+    if "w" not in names:
+        return "w"
     i = 1
-    while f"{base}{i}" in names:
+    while f"w{i}" in names:
         i += 1
-    return f"{base}{i}"
+    return f"w{i}"
 
 
 def verify_duality_instance(a: GradedAlgebra, f: MonicPoly, elem: HomogeneousElement) -> DualityOutcome:

@@ -3,6 +3,7 @@ check on random towers: pure and general monic extensions, quotients, a
 quotient of a quotient and an extension of a quotient, over QQ, GF(2), GF(3)
 and GF(32003)."""
 
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -191,3 +192,52 @@ def test_strong_check_equals_full_rank_grid(data):
             lr = indep.poly_power(caps, ldict, profile.power, p)
             for row in profile.rows:
                 assert row.rank == indep.rank_mod(indep.mult_matrix(caps, lr, profile.power, row.i, p), p)
+
+
+@BUDGET
+@given(towers())
+def test_monic_evaluation_is_the_polynomial_value(data):
+    stages, rng = data
+    for alg in stages:
+        for pure in (True, False):
+            d = rng.randint(1, 4)
+            f = MonicPoly.pure_power(alg, d) if pure else MonicPoly(
+                alg, d, [random_element(alg, i, rng) for i in range(1, d + 1)])
+            l = random_element(alg, 1, rng)
+            value = l**d
+            for i, ai in enumerate(f.lower, start=1):
+                value = value + ai * l ** (d - i)
+            assert f.evaluate(l) == value
+
+
+@st.composite
+def small_exponents(draw):
+    """Exponent tuples of 1 to 4 entries with product at most 60."""
+    caps = [draw(st.integers(1, 60))]
+    while len(caps) < 4 and 2 * math.prod(caps) <= 60 and draw(st.booleans()):
+        caps.append(draw(st.integers(1, 60 // math.prod(caps))))
+    return tuple(caps)
+
+
+@BUDGET
+@given(st.sampled_from(FIELDS[1:]), small_exponents(), st.integers(0, 2**32))
+def test_hilbert_function_and_socle_match_independent_model(field, caps, seed):
+    rng = random.Random(seed)
+    alg = monomial_complete_intersection(field, caps)
+    sigma, p = sum(caps) - len(caps), field.p
+    assert alg.hilbert_function() == [len(indep.monomials_of_degree(caps, t)) for t in range(sigma + 1)]
+    for t in range(sigma + 1):
+        labels = alg.basis_labels(t)
+        exponents = sorted(indep.label_to_exponents(label, len(caps)) for label in labels)
+        assert exponents == indep.monomials_of_degree(caps, t)
+    assert alg.socle_dimensions() == ([0] * sigma + [1], True)
+    if sigma == 0:
+        return
+    d = rng.randint(1, sigma)
+    g = nonzero_element(alg, d, rng)
+    gdict = {indep.label_to_exponents(label, len(caps)): c
+             for label, c in zip(alg.basis_labels(d), g.coeffs) if c}
+    quotient = alg.quotient(g)
+    for t in range(sigma + 1):
+        image = indep.rank_mod(indep.mult_matrix(caps, gdict, d, t - d, p), p)
+        assert quotient.dim(t) == alg.dim(t) - image

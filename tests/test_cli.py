@@ -88,7 +88,16 @@ class TestExitCodes:
         bad = tmp_path / "bad.spec"
         bad.write_text("field rational\nextend x : x^2 + y\n")
         assert main(["hilbert", str(bad)]) == 2
-        assert "line 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 2" in err and str(bad) in err, err
+        # A build error (found after parsing) names the file too.
+        unbuildable = tmp_path / "unbuildable.spec"
+        unbuildable.write_text("field rational\nquotient random degree=1 seed=0\n")
+        for argv in (["hilbert", str(unbuildable)], ["check", str(unbuildable), "--mode", "weak"]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "line 2" in err and str(unbuildable) in err, err
 
     def test_missing_file_is_two(self, stanley_spec, tmp_path, capsys):
         latin1 = tmp_path / "latin1.spec"
