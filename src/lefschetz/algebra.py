@@ -13,6 +13,13 @@ Each kind defines its product once, as a block map (`_map`): the base field
 gives a scalar, an extension assembles its base's maps block by block, and a
 quotient projects its parent's map.
 
+Over GF(p) with p <= _NP_MAX_P an algebra is compiled on first use, by the
+same block rule, to int64 tables mod p: generator tables X_g(t): A_t -> A_{t+1}
+and factor tables e_c = g*P_g(i)e_c for each basis element e_c of A_i.  The map
+of a linear form is sum_g lambda_g X_g; any other form w, of degree s, has the
+degree chain M(0) = w, M(i)[:, C_g] = X_g(i+s-1) M(i-1) P_g(i).  Products use
+the lower-degree factor's map.  Over QQ and larger primes `_map` is used.
+
 All element and matrix arithmetic is exact.  Degrees above the socle degree
 are genuine zero spaces: their elements have empty coefficient vectors and
 maps into or out of them are empty matrices.
@@ -22,10 +29,12 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .fields import Field
-from .linalg import Matrix
+import numpy as np
+
+from .fields import Field, PrimeField
+from .linalg import _NP_MAX_P, Matrix, _matmul_modp
 
 
 class HomogeneousElement:
@@ -169,6 +178,8 @@ class GradedAlgebra:
 
     field: Field
     dims: tuple[int, ...]
+    _last = None  # (degree and coefficients of an element, its chain of maps so far)
+    _compiled = False  # until `_tables` is first read
 
     @property
     def sigma(self) -> int:
@@ -230,7 +241,25 @@ class GradedAlgebra:
         raise NotImplementedError
 
     def multiply(self, u: HomogeneousElement, v: HomogeneousElement) -> HomogeneousElement:
-        raise NotImplementedError
+        """u*v: the compiled map of the lower-degree factor, else `_product`."""
+        _require_same_algebra(u, v)
+        if u.algebra is not self:
+            raise ValueError("elements belong to a different algebra")
+        t = u.degree + v.degree
+        if t > self.sigma:
+            return self.zero(t)
+        if not self._tables:
+            return HomogeneousElement(self, t, self._product(u, v))
+        u, v = (u, v) if u.degree <= v.degree else (v, u)
+        col = np.array(v.coeffs, dtype=np.int64).reshape(-1, 1)
+        product = _matmul_modp(self._table_map(u, v.degree), col, self.field.p)
+        return HomogeneousElement(self, t, tuple(product[:, 0].tolist()))
+
+    def _product(self, u: HomogeneousElement, v: HomogeneousElement) -> tuple:
+        """Coefficients of u*v, by `_map` of u on the nonzero coordinates of v."""
+        cols = [c for c, x in enumerate(v.coeffs) if x]
+        rows = self._map(u, v.degree, cols)
+        return Matrix(self.field, len(rows), len(cols), rows).mul_vec([v.coeffs[c] for c in cols])
 
     def variable_names(self) -> tuple[str, ...]:
         raise NotImplementedError
@@ -262,21 +291,47 @@ class GradedAlgebra:
         if nr == 0 or nc == 0:
             return Matrix.zeros(self.field, nr, nc)
         # entries come straight from field arithmetic, no re-validation needed
-        return Matrix(self.field, nr, nc, tuple(self._map(w, i, range(nc))))
+        rows = map(tuple, self._table_map(w, i).tolist()) if self._tables else self._map(w, i, range(nc))
+        return Matrix(self.field, nr, nc, tuple(rows))
+
+    @property
+    def _tables(self) -> Optional[tuple[list, dict]]:
+        """Generator tables X[g][t], t = 0..sigma, and factor tables F[i] = [(g, cols, P)],
+        i = 1..sigma, with e_c = g * P[:, k] for the k-th c of cols and P[:, k] on the
+        first len(P) coordinates of A_{i-1}: int64 arrays mod p, or None over QQ and for
+        p > _NP_MAX_P.  Built by `_compile` on first use and kept by plain assignment: a
+        cached_property's instance __dict__ would slow every attribute read."""
+        if self._compiled is False:
+            prime = isinstance(self.field, PrimeField) and self.field.p <= _NP_MAX_P
+            self._compiled = self._compile() if prime else None
+        return self._compiled
+
+    def _table_map(self, w: HomogeneousElement, i: int) -> np.ndarray:
+        """Map of w from degree i, from the compiled tables."""
+        (X, F), p, s = self._tables, self.field.p, w.degree
+        if s == 1:  # w = sum_g lambda_g g
+            m = np.zeros((self.dim(i + 1), self.dim(i)), dtype=np.int64)
+            for g, cols, P in F[1]:
+                lam = sum(w.coeffs[c] * x for c, x in zip(cols, P[0].tolist())) % p
+                m = (m + lam * X[g][i]) % p
+            return m
+        if self._last is None or self._last[0] != (s, w.coeffs):  # no element kept: it would pin self in a cycle
+            self._last = ((s, w.coeffs), [np.array(w.coeffs, dtype=np.int64).reshape(-1, 1)])
+        maps = self._last[1]
+        while len(maps) <= i:
+            k = len(maps)
+            m = np.zeros((self.dim(k + s), self.dim(k)), dtype=np.int64)
+            for g, cols, P in F[k]:
+                m[:, cols] = _matmul_modp(X[g][k + s - 1], _matmul_modp(maps[-1][:, :len(P)], P, p), p)
+            maps.append(m)
+        return maps[i]
 
     def socle_dimensions(self) -> tuple[list[int], bool]:
         """Per-degree dimension of the common kernel of all degree-1 generator
         multiplications; the algebra is Gorenstein iff the socle is a line."""
         gens = self.generators()
-        socle = []
-        for t in range(self.sigma + 1):
-            n = self.dim(t)
-            if not gens:
-                socle.append(n)
-                continue
-            mats = [self.mult_map_matrix(g, t) for g in gens]
-            stacked = Matrix.vstack(self.field, mats, n)
-            socle.append(n - stacked.rank())
+        socle = [n - Matrix.vstack(self.field, [self.mult_map_matrix(g, t) for g in gens], n).rank()
+                 for t, n in enumerate(self.dims)]
         return socle, sum(socle) == 1
 
     def fingerprint(self) -> str:
@@ -296,12 +351,12 @@ class TrivialAlgebra(GradedAlgebra):
     def _map(self, w, i, cols):
         return [(w.coeffs[0],) * len(cols)] if i == w.degree == 0 else []
 
-    def multiply(self, u, v):
-        _require_same_algebra(u, v)
-        t = u.degree + v.degree
-        if t > 0:
-            return self.zero(t)
-        return HomogeneousElement(self, 0, (self.field.mul(u.coeffs[0], v.coeffs[0]),))
+    def _compile(self):
+        return [], {}
+
+    # Bound in each class, as is QuotientAlgebra.mult_map_matrix, because
+    # bench/tracer.py wraps the methods it finds in each class's own namespace.
+    multiply = GradedAlgebra.multiply
 
     def variable_names(self):
         return ()
@@ -394,17 +449,33 @@ class ExtensionAlgebra(GradedAlgebra):
             out.extend(map(tuple, rows))
         return out
 
-    def multiply(self, u, v):
-        _require_same_algebra(u, v)
-        if u.algebra is not self:
-            raise ValueError("elements belong to a different algebra")
-        t = u.degree + v.degree
-        if t > self.sigma:
-            return self.zero(t)
-        cols = [c for c, x in enumerate(v.coeffs) if x]
-        rows = self._map(u, v.degree, cols)
-        product = Matrix(self.field, len(rows), len(cols), rows).mul_vec([v.coeffs[c] for c in cols])
-        return HomogeneousElement(self, t, product)
+    multiply = GradedAlgebra.multiply
+
+    def _compile(self):
+        XA, FA = self.base._tables
+        p, d, n, top = self.field.p, self.d, len(XA), self.sigma + 1
+        seg = [{j: slice(lo, hi) for j, lo, hi in self._layout(t)} for t in range(top + 1)]
+        X = [[np.zeros((self.dim(t + 1), self.dim(t)), dtype=np.int64) for t in range(top)] for _ in range(n + 1)]
+        for t in range(top):
+            for j, src in seg[t].items():
+                if j in seg[t + 1]:  # a base generator acts on each block A_{t-j} x^j
+                    for g in range(n):
+                        X[g][t][seg[t + 1][j], src] = XA[g][t - j]
+                if j + 1 < d:  # x shifts it to A_{t-j} x^{j+1}
+                    X[n][t][seg[t + 1][j + 1], src] = np.eye(src.stop - src.start, dtype=np.int64)
+        for i, a in enumerate(self.relation.lower, start=1):  # x * A_{t-d+1} x^{d-1} = -sum_i a_i A_{t-d+1} x^{d-i}
+            for t in range(d - 1, top):
+                if not a.is_zero() and d - 1 in seg[t] and d - i in seg[t + 1]:
+                    X[n][t][seg[t + 1][d - i], seg[t][d - 1]] = -self.base._table_map(a, t - d + 1) % p
+        F = {}
+        for i in range(1, top):
+            F[i] = list(FA.get(i, ()))  # A_{i-1} leads B_{i-1}, so the base's P stay as they are
+            cols = [c for j, lo, hi in self._layout(i) if j for c in range(lo, hi)]
+            if cols:  # a x^j = x * a x^{j-1}
+                P = np.zeros((self.dim(i - 1), len(cols)), dtype=np.int64)
+                P[[r for j, lo, hi in self._layout(i - 1) if j < d - 1 for r in range(lo, hi)], range(len(cols))] = 1
+                F[i].append((n, cols, P))
+        return X, F
 
     def include(self, u: HomogeneousElement) -> HomogeneousElement:
         """Image of a base-algebra element under the inclusion into the extension."""
@@ -518,15 +589,6 @@ class QuotientAlgebra(GradedAlgebra):
             return self.zero(t)
         return HomogeneousElement(self, t, self._pi[t].mul_vec(pu.coeffs))
 
-    def multiply(self, u, v):
-        _require_same_algebra(u, v)
-        if u.algebra is not self:
-            raise ValueError("elements belong to a different algebra")
-        t = u.degree + v.degree
-        if t > self.sigma:
-            return self.zero(t)
-        return self.project(self.parent.multiply(self.lift(u), self.lift(v)))
-
     def _map(self, w, i, cols):
         t = i + w.degree
         if t > self.sigma:
@@ -536,9 +598,27 @@ class QuotientAlgebra(GradedAlgebra):
             return inner
         return list((self._pi[t] @ Matrix(self.field, len(inner), len(cols), tuple(inner))).rows)
 
-    # Bound here too because bench/tracer.py wraps the methods it finds in
-    # each class's own namespace.
+    def _product(self, u, v):
+        return self.project(self.parent.multiply(self.lift(u), self.lift(v))).coeffs  # cheaper than pi times a map
+
+    def _compile(self):
+        XA, FA = self.parent._tables
+        p, kept = self.field.p, self._kept
+        pi = {t: m._np() for t, m in self._pi.items() if t >= self.form.degree}
+
+        def project(t, m):  # pi_t m; no rows above the socle degree
+            return m[:0] if t > self.sigma else _matmul_modp(pi[t][:, :len(m)], m, p) if t in pi else m
+
+        X = [[project(t + 1, Xg[t][:, kept[t]]) for t in range(self.sigma + 1)] for Xg in XA]
+        F = {}
+        for i in range(1, self.sigma + 1):
+            pos = {q: c for c, q in enumerate(kept[i])}
+            F[i] = [(g, [pos[q] for q in cols if q in pos], project(i - 1, P[:, [q in pos for q in cols]]))
+                    for g, cols, P in FA[i]]
+        return X, F
+
     mult_map_matrix = GradedAlgebra.mult_map_matrix
+    multiply = GradedAlgebra.multiply
 
     def variable_names(self):
         return self.parent.variable_names()

@@ -84,10 +84,10 @@ def exact_rank(m: Matrix) -> int:
 
 
 def _profile_for_power(a: GradedAlgebra, w_power: HomogeneousElement, k: int, r: int,
-                       maximal: bool = False) -> RankProfile:
+                       maximal: bool = False, known: Optional[dict] = None) -> RankProfile:
     """Ranks of w_power on every component; with maximal, each rank is known
-    to be the bound and no map is built."""
-    rows = []
+    to be the bound and no map is built.  known[(r, i)] is a rank computed before."""
+    rows, known = [], known or {}
     deg = w_power.degree
     power_is_zero = w_power.is_zero()
     for i in range(a.sigma + 1):
@@ -97,7 +97,7 @@ def _profile_for_power(a: GradedAlgebra, w_power: HomogeneousElement, k: int, r:
         if bound == 0 or power_is_zero:
             rows.append(ProfileRow(i, src, tgt, 0, bound == 0))
             continue
-        rank = bound if maximal else exact_rank(a.mult_map_matrix(w_power, i))
+        rank = bound if maximal else known[r, i] if (r, i) in known else exact_rank(a.mult_map_matrix(w_power, i))
         rows.append(ProfileRow(i, src, tgt, rank, rank == bound))
     return RankProfile(k, r, tuple(rows))
 
@@ -133,13 +133,15 @@ def is_strong_lefschetz(a: GradedAlgebra, l: HomogeneousElement) -> tuple[bool, 
     powers = [a.one()]
     for _ in range(max(a.sigma, 1)):
         powers.append(a.multiply(powers[-1], l))
-    # A non-symmetric Hilbert function or a zero l^sigma fails before any map is built.
-    h, s = a.hilbert_function(), a.sigma
+    # A non-symmetric Hilbert function or a zero l^sigma fails before any map
+    # is built; the full grid reuses the central ranks computed before a failure.
+    h, s, known = a.hilbert_function(), a.sigma, {}
     central = h == h[::-1] and all(
-        not powers[s - 2 * i].is_zero() and exact_rank(a.mult_map_matrix(powers[s - 2 * i], i)) == h[i]
+        not powers[s - 2 * i].is_zero()
+        and known.setdefault((s - 2 * i, i), exact_rank(a.mult_map_matrix(powers[s - 2 * i], i))) == h[i]
         for i in range(s // 2 + 1)
     )
-    profiles = [_profile_for_power(a, powers[r], 1, r, central) for r in range(1, len(powers))]
+    profiles = [_profile_for_power(a, powers[r], 1, r, central, known) for r in range(1, len(powers))]
     return all(p.is_maximal for p in profiles), profiles
 
 

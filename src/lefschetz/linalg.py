@@ -192,7 +192,7 @@ def _integer_rows(f: Field, rows):
     out, scale = [], 1
     for row in rows:
         lcm = math.lcm(*{x.denominator for x in row})
-        out.append([x.numerator * (lcm // x.denominator) for x in row])
+        out.append([x.numerator for x in row] if lcm == 1 else [x.numerator * (lcm // x.denominator) for x in row])
         scale *= lcm
     return out, scale
 
@@ -302,22 +302,22 @@ def cauchy_determinant(field: Field, u: Sequence, v: Sequence):
     """
     if len(u) != len(v):
         raise ValueError("u and v must have equal length")
-    u = [field.validate(x) for x in u]
-    v = [field.validate(x) for x in v]
-    n = len(u)
-    num = field.one
-    for i in range(n):
-        for k in range(i + 1, n):
-            num = field.mul(num, field.sub(u[k], u[i]))
-            num = field.mul(num, field.sub(v[k], v[i]))
-    den = field.one
-    for ui in u:
-        for vj in v:
-            s = field.add(ui, vj)
-            if field.is_zero(s):
+    # Integer pairs (an int's denominator is 1), so only the quotient is normalized.
+    u, v = ([(x.numerator, x.denominator) for x in map(field.validate, w)] for w in (u, v))
+    num = den = 1
+    for w in (u, v):
+        for i, (a, b) in enumerate(w):
+            for c, d in w[i + 1:]:
+                num *= c * b - a * d
+                den *= d * b
+    for a, b in u:
+        for c, d in v:
+            s = a * d + c * b
+            if field.is_zero(field.of(s)):
                 raise ValueError("undefined Cauchy matrix entry: u_i + v_j = 0")
-            den = field.mul(den, s)
-    return field.div(num, den)
+            num *= b * d
+            den *= s
+    return field.div(field.of(num), field.of(den))
 
 
 @dataclass(frozen=True)

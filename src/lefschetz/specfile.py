@@ -265,22 +265,20 @@ def _validate_extension(terms: list[Term], var: str, line: int) -> None:
             raise SpecError(line, f"term exceeds {var}^{d}")
 
 
-def _monomial_element(algebra: GradedAlgebra, exps: tuple[tuple[str, int], ...]) -> HomogeneousElement:
-    elem = algebra.one()
-    for var, e in exps:
-        gen = algebra.generator(var)
-        for _ in range(e):
-            elem = algebra.multiply(elem, gen)
-    return elem
-
-
 def _element_from_terms(algebra: GradedAlgebra, terms: tuple[Term, ...], line: int) -> HomogeneousElement:
+    """The form sum c*m.  Monomials share their prefixes: each is its prefix
+    one variable shorter times that variable."""
     degree = _term_degree(terms[0])
     if degree > algebra.sigma:
         raise SpecError(line, f"degree {degree} exceeds the socle degree {algebra.sigma}")
-    out = algebra.zero(degree)
+    gens = dict(zip(algebra.variable_names(), algebra.generators()))
+    monomials, out = {(): algebra.one()}, algebra.zero(degree)
     for coeff, exps in terms:
-        out = out + _monomial_element(algebra, exps).scale(algebra.field.of(coeff))
+        word = tuple(var for var, e in exps for _ in range(e))
+        for k in range(1, len(word) + 1):
+            if word[:k] not in monomials:
+                monomials[word[:k]] = algebra.multiply(monomials[word[:k - 1]], gens[word[k - 1]])
+        out = out + monomials[word].scale(algebra.field.of(coeff))
     return out
 
 

@@ -1,7 +1,7 @@
-"""Property tests of the multiplication core and of the strong Lefschetz
-check on random towers: pure and general monic extensions, quotients, a
-quotient of a quotient and an extension of a quotient, over QQ, GF(2), GF(3)
-and GF(32003)."""
+"""Property tests of the multiplication core, its compiled tables and the
+strong Lefschetz check on random towers: pure and general monic extensions,
+quotients, a quotient of a quotient and an extension of a quotient, over QQ,
+GF(2), GF(3) and GF(32003), and GF(3037000493) for the tables."""
 
 import math
 import random
@@ -17,10 +17,13 @@ from lefschetz.algebra import (
 )
 from lefschetz.certify import _profile_for_power, is_strong_lefschetz
 from lefschetz.fields import GF, QQ, PrimeField
+from lefschetz.linalg import Matrix
 
 import indep
 
 FIELDS = (QQ, GF(2), GF(3), GF(32003))
+# Every field on the compiled path: 3037000493 is the largest prime <= _NP_MAX_P.
+TABLE_FIELDS = FIELDS[1:] + (GF(3037000493),)
 KINDS = ("pure", "general", "quotient", "quotient of quotient", "extension of quotient")
 
 # A few seconds in all; fixed examples, and no example database on disk.
@@ -60,9 +63,9 @@ def quotient(alg, rng):
 
 
 @st.composite
-def towers(draw):
+def towers(draw, fields=FIELDS):
     """Every algebra of one random tower, base field first."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     kind = draw(st.sampled_from(KINDS))
     degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -241,3 +244,67 @@ def test_hilbert_function_and_socle_match_independent_model(field, caps, seed):
     for t in range(sigma + 1):
         image = indep.rank_mod(indep.mult_matrix(caps, gdict, d, t - d, p), p)
         assert quotient.dim(t) == alg.dim(t) - image
+
+
+def block_map(alg, w, i):
+    """The defining block map of w from degree i, over all of A_i."""
+    return tuple(alg._map(w, i, range(alg.dim(i))))
+
+
+@BUDGET
+@given(towers(TABLE_FIELDS))
+def test_compiled_tables_equal_the_block_map(data):
+    stages, rng = data
+    for alg in stages:
+        tables, _ = alg._tables
+        assert len(tables) == len(alg.generators())
+        for g, table in zip(alg.generators(), tables):
+            assert [tuple(map(tuple, table[t].tolist())) for t in range(alg.sigma + 1)] == [
+                block_map(alg, g, t) for t in range(alg.sigma + 1)
+            ]
+        for s in range(alg.sigma + 1):
+            w = random_element(alg, s, rng)
+            # Shuffled degrees: the kept chain is extended and read back out of order.
+            for i in rng.sample(range(alg.sigma + 1), alg.sigma + 1):
+                m = alg.mult_map_matrix(w, i)
+                assert m.rows == block_map(alg, w, i)
+                assert all(type(x) is int for row in m.rows for x in row)
+        for _ in range(3):
+            u, v = (random_element(alg, rng.randint(0, alg.sigma), rng) for _ in range(2))
+            product = u * v
+            assert all(type(x) is int for x in product.coeffs)
+            if product.degree <= alg.sigma:
+                rows = block_map(alg, u, v.degree)
+                assert product.coeffs == Matrix(alg.field, len(rows), alg.dim(v.degree), rows).mul_vec(v.coeffs)
+
+
+def test_quotient_chains_past_the_form_degree():
+    # Chains of forms of degree >= 2 read factor tables that a nontrivial
+    # projection pi_{i-1} has rewritten; few random towers reach them.
+    rng = random.Random(3)
+    for field in TABLE_FIELDS:
+        b = monomial_complete_intersection(field, (4, 4, 4))
+        b = b.quotient(nonzero_element(b, 2, rng))
+        for alg in (b, b.quotient(nonzero_element(b, 1, rng)), extend(b, "y", 2, rng, pure=False)):
+            for s in range(2, alg.sigma + 1):
+                w = random_element(alg, s, rng)
+                for i in range(alg.sigma + 1 - s):
+                    assert alg.mult_map_matrix(w, i).rows == block_map(alg, w, i)
+
+
+def test_block_map_path_above_the_numpy_bound():
+    # GF(4294967291) is above _NP_MAX_P: maps and products come from _map,
+    # and no table is built.
+    rng = random.Random(7)
+    field = GF(4294967291)
+    a = monomial_complete_intersection(field, (2, 3))
+    b = extend(a, "y", 2, rng, pure=False)
+    c = b.quotient(nonzero_element(b, 2, rng))
+    for alg in (a, b, c):
+        for s in range(alg.sigma + 1):
+            w = nonzero_element(alg, s, rng)
+            for i in range(alg.sigma + 1 - s):
+                assert alg.mult_map_matrix(w, i).rows == block_map(alg, w, i)
+                e = basis_vector(alg, i, 0)
+                assert (w * e).coeffs == tuple(row[0] for row in block_map(alg, w, i))
+        assert alg._tables is None

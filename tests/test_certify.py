@@ -122,6 +122,22 @@ class TestLefschetz:
         assert ok and built == [(8 - 2 * i, i) for i in range(5)]
         assert all(row.rank == min(row.dim_source, row.dim_target) for p in profiles for row in p.rows)
 
+    def test_strong_fallback_reuses_the_central_ranks(self, monkeypatch):
+        # The example above: l^3 on A_0 is bijective, l on A_1 is not, and the
+        # full grid of 6 maps ranks neither of them again.
+        a = monomial_complete_intersection(QQ, (3,))
+        b = a.extend("y", MonicPoly(a, 2, [a.generators()[0], a.zero(2)]))
+        built = []
+        original = type(b).mult_map_matrix
+
+        def counting(self, w, i):
+            built.append((w.degree, i))
+            return original(self, w, i)
+
+        monkeypatch.setattr(type(b), "mult_map_matrix", counting)
+        ok, _ = is_strong_lefschetz(b, b.generator("y"))
+        assert not ok and sorted(built) == [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]
+
     def test_degree_one_required_for_strong(self):
         a = stanley22()
         x, y = a.generators()

@@ -153,6 +153,18 @@ class TestCauchyDeterminant:
             m = rational_matrix([[Fraction(1, ui + vj) for vj in v] for ui in u])
             assert cauchy_determinant(QQ, u, v) == m.det()
 
+    def test_fractional_and_modular_entries(self):
+        # Entries with denominators, and residues mod p, whose denominator is 1.
+        rng = random.Random(23)
+        for field in (QQ, GF(101), GF(32003)):
+            for _ in range(15):
+                n = rng.randint(1, 5)
+                u, v = ([field.of(Fraction(rng.randint(1, 40), rng.randint(1, 9))) for _ in range(n)] for _ in "uv")
+                if any(field.is_zero(field.add(a, b)) for a in u for b in v):
+                    continue
+                m = Matrix.from_rows(field, [[field.inv(field.add(a, b)) for b in v] for a in u])
+                assert cauchy_determinant(field, u, v) == m.det()
+
 
 def lower_left_blocks_nonsingular(m):
     """Oracle for the anti-triangularization criterion: every square block
