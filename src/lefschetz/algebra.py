@@ -18,7 +18,8 @@ same block rule, to int64 tables mod p: generator tables X_g(t): A_t -> A_{t+1}
 and factor tables e_c = g*P_g(i)e_c for each basis element e_c of A_i.  The map
 of a linear form is sum_g lambda_g X_g; any other form w, of degree s, has the
 degree chain M(0) = w, M(i)[:, C_g] = X_g(i+s-1) M(i-1) P_g(i).  Products use
-the lower-degree factor's map.  Over QQ and larger primes `_map` is used.
+the lower-degree factor's map.  Over QQ and larger primes `_map` is used, and an
+algebra over QQ has a compiled image over GF(q) for rank checks (`image_of`).
 
 All element and matrix arithmetic is exact.  Degrees above the socle degree
 are genuine zero spaces: their elements have empty coefficient vectors and
@@ -33,8 +34,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import Field, PrimeField
+from .fields import GF, Field, PrimeField
 from .linalg import _NP_MAX_P, Matrix, _matmul_modp
+
+# The largest prime below 2^28: 128 (q-1)^2 < 2^63, so `_matmul_modp` is unchunked to width 128.
+IMAGE_PRIME = 268435399
 
 
 class HomogeneousElement:
@@ -180,6 +184,7 @@ class GradedAlgebra:
     dims: tuple[int, ...]
     _last = None  # (degree and coefficients of an element, its chain of maps so far)
     _compiled = False  # until `_tables` is first read
+    _image = False  # over QQ, until `image_of` first reads it
 
     @property
     def sigma(self) -> int:
@@ -313,7 +318,8 @@ class GradedAlgebra:
             m = np.zeros((self.dim(i + 1), self.dim(i)), dtype=np.int64)
             for g, cols, P in F[1]:
                 lam = sum(w.coeffs[c] * x for c, x in zip(cols, P[0].tolist())) % p
-                m = (m + lam * X[g][i]) % p
+                if lam:
+                    m = (m + lam * X[g][i]) % p
             return m
         if self._last is None or self._last[0] != (s, w.coeffs):  # no element kept: it would pin self in a cycle
             self._last = ((s, w.coeffs), [np.array(w.coeffs, dtype=np.int64).reshape(-1, 1)])
@@ -325,6 +331,18 @@ class GradedAlgebra:
                 m[:, cols] = _matmul_modp(X[g][k + s - 1], _matmul_modp(maps[-1][:, :len(P)], P, p), p)
             maps.append(m)
         return maps[i]
+
+    def image_of(self, w: HomogeneousElement) -> Optional[HomogeneousElement]:
+        """w in the algebra's image: over QQ the tower replayed over GF(IMAGE_PRIME), with its
+        relations and forms reduced, kept in `_image`; over GF(p) the algebra itself.  None
+        when a denominator vanishes or a quotient's pivots move mod q, or p > _NP_MAX_P."""
+        if isinstance(self.field, PrimeField):
+            return w if self.field.p <= _NP_MAX_P else None
+        if self._image is False:
+            self._image = self._reduce()
+        if self._image is None or not all(c.denominator % IMAGE_PRIME for c in w.coeffs):
+            return None
+        return HomogeneousElement(self._image, w.degree, tuple(map(self._image.field.of, w.coeffs)))
 
     def socle_dimensions(self) -> tuple[list[int], bool]:
         """Per-degree dimension of the common kernel of all degree-1 generator
@@ -353,6 +371,9 @@ class TrivialAlgebra(GradedAlgebra):
 
     def _compile(self):
         return [], {}
+
+    def _reduce(self):
+        return TrivialAlgebra(GF(IMAGE_PRIME))
 
     # Bound in each class, as is QuotientAlgebra.mult_map_matrix, because
     # bench/tracer.py wraps the methods it finds in each class's own namespace.
@@ -476,6 +497,10 @@ class ExtensionAlgebra(GradedAlgebra):
                 P[[r for j, lo, hi in self._layout(i - 1) if j < d - 1 for r in range(lo, hi)], range(len(cols))] = 1
                 F[i].append((n, cols, P))
         return X, F
+
+    def _reduce(self):
+        lower = [self.base.image_of(a) for a in self.relation.lower]
+        return None if None in lower else lower[0].algebra.extend(self.var, MonicPoly(lower[0].algebra, self.d, lower))
 
     def include(self, u: HomogeneousElement) -> HomogeneousElement:
         """Image of a base-algebra element under the inclusion into the extension."""
@@ -616,6 +641,13 @@ class QuotientAlgebra(GradedAlgebra):
             F[i] = [(g, [pos[q] for q in cols if q in pos], project(i - 1, P[:, [q in pos for q in cols]]))
                     for g, cols, P in FA[i]]
         return X, F
+
+    def _reduce(self):
+        g = self.parent.image_of(self.form)
+        if g is None or g.is_zero():
+            return None
+        image = g.algebra.quotient(g)  # equal pivots keep pi q-integral: its tables reduce ours
+        return image if image._kept == self._kept else None
 
     mult_map_matrix = GradedAlgebra.mult_map_matrix
     multiply = GradedAlgebra.multiply

@@ -6,15 +6,22 @@ element certifies the property for the algebra (the good locus is Zariski
 open), so the searches report three-valued verdicts and never claim disproof
 from failed sampling alone.
 
-Rank values are always exact.  Over the rationals a maximality check first
-tries a fixed-prime modular reduction: a full-rank reduction certifies full
-rank over the rationals, anything else falls back to exact elimination.
+Rank values are always exact.  Every full-rank question is asked first of the
+algebra's image (`GradedAlgebra.image_of`): over QQ the tower replayed over
+GF(268435399), which exists when no denominator vanishes and no quotient's
+pivots move mod q.  Every map of the image is then the reduction of the exact
+map, so a rank mod q equal to the bound is the rank over QQ.  Other ranks are
+exact, after a full-rank witness at a second prime.  Over GF(p) the image is
+the algebra.
 
-A strong check ranks only the central maps l^(sigma-2i): A_i -> A_(sigma-i)
-when they are all bijective: every other l^r: A_i -> A_(i+r) is a first
-(injective) or second (surjective) factor of one of them, so its rank is
-min(dim A_i, dim A_(i+r)) exactly, over any field (Harima et al., The
-Lefschetz Properties, LNM 2080, 2013).  Otherwise every map is ranked.
+A strong check needs only the central maps l^(sigma-2i): A_i -> A_(sigma-i).
+When they are all bijective, l^r: A_i -> A_(i+r) is injective if i+r <= sigma-i,
+as a first factor of l^(sigma-2i), and else surjective, as a second factor of
+l^(sigma-2j) with j = sigma-i-r < i, or maps to zero: its rank is
+min(dim A_i, dim A_(i+r)) over any field (Harima et al., The Lefschetz
+Properties, LNM 2080, 2013).  Their images are the chains
+C_i = L_(sigma-i-1) C_(i+1) L_i of the image's maps L_t of l.  If one is not
+bijective the exact central maps are ranked, and every map if need be.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .algebra import GradedAlgebra, HomogeneousElement
 from .fields import QQ, PrimeField
-from .linalg import Matrix, modular_rank_lower_bound
+from .linalg import Matrix, _matmul_modp, _rref_modp, modular_rank_lower_bound
 
 
 class Verdict(str, enum.Enum):
@@ -83,21 +92,26 @@ def exact_rank(m: Matrix) -> int:
     return m.rank()
 
 
-def _profile_for_power(a: GradedAlgebra, w_power: HomogeneousElement, k: int, r: int,
+def _rank(a: GradedAlgebra, w: HomogeneousElement, image: Optional[HomogeneousElement], i: int, bound: int) -> int:
+    """Rank of w from degree i: its image's if that is the bound, or exact (image is w), else exact."""
+    rank = -1 if image is None else exact_rank(image.algebra.mult_map_matrix(image, i))
+    return rank if rank == bound or image is w else exact_rank(a.mult_map_matrix(w, i))
+
+
+def _profile_for_power(a: GradedAlgebra, w_power: Optional[HomogeneousElement], k: int, r: int,
                        maximal: bool = False, known: Optional[dict] = None) -> RankProfile:
-    """Ranks of w_power on every component; with maximal, each rank is known
-    to be the bound and no map is built.  known[(r, i)] is a rank computed before."""
-    rows, known = [], known or {}
-    deg = w_power.degree
-    power_is_zero = w_power.is_zero()
-    for i in range(a.sigma + 1):
-        src = a.dim(i)
-        tgt = a.dim(i + deg)
+    """Ranks of w_power = w^r, w of degree k, on every component; with maximal each rank is
+    the bound and w_power is not needed.  known[(r, i)] is a rank computed before."""
+    rows, known, dims, deg = [], known or {}, a.dims, k * r
+    zero = not maximal and w_power.is_zero()
+    image = None if maximal or zero else a.image_of(w_power)
+    for i, src in enumerate(dims):
+        tgt = dims[i + deg] if i + deg < len(dims) else 0
         bound = min(src, tgt)
-        if bound == 0 or power_is_zero:
+        if bound == 0 or zero:
             rows.append(ProfileRow(i, src, tgt, 0, bound == 0))
             continue
-        rank = bound if maximal else known[r, i] if (r, i) in known else exact_rank(a.mult_map_matrix(w_power, i))
+        rank = bound if maximal else known[r, i] if (r, i) in known else _rank(a, w_power, image, i, bound)
         rows.append(ProfileRow(i, src, tgt, rank, rank == bound))
     return RankProfile(k, r, tuple(rows))
 
@@ -118,24 +132,19 @@ def is_lefschetz(a: GradedAlgebra, w: HomogeneousElement) -> tuple[bool, RankPro
 
 
 def is_strong_lefschetz(a: GradedAlgebra, l: HomogeneousElement) -> tuple[bool, list[RankProfile]]:
-    """Whether every power l^r (r = 1..sigma) multiplies with maximal rank.
-
-    Powers beyond the socle degree act on zero spaces, so r = 1..sigma decides
-    the property.  It holds when every central map l^(sigma-2i): A_i ->
-    A_(sigma-i), i <= sigma/2, is bijective (Harima-Maeno-Morita-Numata-
-    Wachi-Watanabe, The Lefschetz Properties, LNM 2080, 2013): l^r: A_i ->
-    A_(i+r) is injective if i+r <= sigma-i, as a factor of l^(sigma-2i), and
-    else surjective, as a factor of l^(sigma-2j) with j = sigma-i-r < i, or
-    maps to zero.  Only when a central map is not bijective is every map ranked.
-    """
+    """Whether every power l^r (r = 1..sigma) multiplies with maximal rank (higher
+    powers act on zero spaces), from the central maps as the module docstring says."""
     if l.degree != 1:
         raise ValueError("strong Lefschetz elements have degree 1")
+    h, s = a.hilbert_function(), a.sigma
+    if h == h[::-1] and _central_maps_bijective_on_image(a, l):
+        return True, [_profile_for_power(a, None, 1, r, True) for r in range(1, max(s, 1) + 1)]
     powers = [a.one()]
-    for _ in range(max(a.sigma, 1)):
+    for _ in range(max(s, 1)):
         powers.append(a.multiply(powers[-1], l))
     # A non-symmetric Hilbert function or a zero l^sigma fails before any map
     # is built; the full grid reuses the central ranks computed before a failure.
-    h, s, known = a.hilbert_function(), a.sigma, {}
+    known = {}
     central = h == h[::-1] and all(
         not powers[s - 2 * i].is_zero()
         and known.setdefault((s - 2 * i, i), exact_rank(a.mult_map_matrix(powers[s - 2 * i], i))) == h[i]
@@ -143,6 +152,22 @@ def is_strong_lefschetz(a: GradedAlgebra, l: HomogeneousElement) -> tuple[bool, 
     )
     profiles = [_profile_for_power(a, powers[r], 1, r, central, known) for r in range(1, len(powers))]
     return all(p.is_maximal for p in profiles), profiles
+
+
+def _central_maps_bijective_on_image(a: GradedAlgebra, l: HomogeneousElement) -> bool:
+    """Whether every image C_i = L_(sigma-i-1) C_(i+1) L_i of l^(sigma-2i) on A_i is bijective."""
+    image = a.image_of(l)
+    if image is None:
+        return False
+    b, s, p = image.algebra, a.sigma, image.algebra.field.p
+    L = [b._table_map(image, t) for t in range(s)]
+    c = L[s // 2] if s % 2 else np.eye(a.dim(s // 2), dtype=np.int64)  # l^0 on A_(s/2) is the identity
+    for i in range(s // 2, -1, -1):
+        if i < s // 2:
+            c = _matmul_modp(L[s - i - 1], _matmul_modp(c, L[i], p), p)
+        if s > 2 * i and len(_rref_modp(c, p)[1]) < a.dim(i):
+            return False
+    return True
 
 
 @dataclass

@@ -113,7 +113,7 @@ class Matrix:
         f = self.field
         if isinstance(f, PrimeField) and f.p <= _NP_MAX_P:
             prod = _matmul_modp(self._np(), other._np(), f.p)
-            return Matrix(f, self.nrows, other.ncols, tuple(tuple(int(x) for x in row) for row in prod))
+            return Matrix(f, self.nrows, other.ncols, tuple(map(tuple, prod.tolist())))
         bt = other.transpose().rows
         mul, sm = f.mul, f.sum
         rows = tuple(tuple(sm(mul(a, b) for a, b in zip(row, col)) for col in bt) for row in self.rows)
@@ -146,7 +146,7 @@ class Matrix:
                 rows, pivots = self.rows, ()
             elif isinstance(f, PrimeField) and f.p <= _NP_MAX_P:
                 arr, pivots = _rref_modp(self._np(), f.p)
-                rows = tuple(tuple(int(x) for x in row) for row in arr)
+                rows = tuple(map(tuple, arr.tolist()))
             elif f == QQ:
                 m, _ = _integer_rows(f, self.rows)
                 pivots, _, d = _bareiss(m, self.ncols, full=True)

@@ -15,7 +15,7 @@ from lefschetz.algebra import (
     monomial_complete_intersection,
     trivial_algebra,
 )
-from lefschetz.certify import _profile_for_power, is_strong_lefschetz
+from lefschetz.certify import _profile_for_power, is_lefschetz, is_strong_lefschetz
 from lefschetz.fields import GF, QQ, PrimeField
 from lefschetz.linalg import Matrix
 
@@ -195,6 +195,27 @@ def test_strong_check_equals_full_rank_grid(data):
             lr = indep.poly_power(caps, ldict, profile.power, p)
             for row in profile.rows:
                 assert row.rank == indep.rank_mod(indep.mult_matrix(caps, lr, profile.power, row.i, p), p)
+
+
+@BUDGET
+@given(towers(fields=(QQ,)))
+def test_image_maps_reduce_the_exact_maps_and_weak_checks_are_exact(data):
+    # Every map of the image mod q is the reduction of the exact map, and the
+    # weak check over QQ, which asks the image first, gives the exact ranks.
+    stages, rng = data
+    for alg in stages:
+        for s in range(min(alg.sigma, 2) + 1):
+            w = random_element(alg, s, rng)
+            image = alg.image_of(w)
+            for i in range(alg.sigma + 1):
+                exact = alg.mult_map_matrix(w, i).rows
+                assert image.algebra.mult_map_matrix(image, i).rows == tuple(
+                    tuple(map(image.algebra.field.of, row)) for row in exact)
+        l = random_element(alg, 1, rng)
+        ok, profile = is_lefschetz(alg, l)
+        exact = [alg.mult_map_matrix(l, i).rank() for i in range(alg.sigma + 1)]
+        assert [row.rank for row in profile.rows] == exact
+        assert ok == all(row.rank == min(row.dim_source, row.dim_target) for row in profile.rows)
 
 
 @BUDGET

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from lefschetz.algebra import MonicPoly, monomial_complete_intersection
+from lefschetz.algebra import IMAGE_PRIME, ExtensionAlgebra, MonicPoly, monomial_complete_intersection
 from lefschetz.certify import (
     ProfileRow,
+    RankProfile,
     Verdict,
     certify_element,
     is_lefschetz,
@@ -108,19 +110,31 @@ class TestLefschetz:
         ]
 
     def test_strong_success_ranks_only_the_central_maps(self, monkeypatch):
-        a = monomial_complete_intersection(QQ, (3, 4, 4))  # sigma = 8
-        x, y, z = a.generators()
-        built = []
-        original = type(a).mult_map_matrix
+        # GF(4294967291) has no tables and so no image: a success builds the
+        # central maps and nothing else.  Over QQ the central maps are ranked
+        # on the image mod q, and a success builds no exact map and no power.
+        built, products = [], []
+        build, multiply = ExtensionAlgebra.mult_map_matrix, ExtensionAlgebra.multiply
 
-        def counting(self, w, i):
-            built.append((w.degree, i))
-            return original(self, w, i)
+        def counting_build(self, w, i):
+            built.append((self.field, w.degree, i))
+            return build(self, w, i)
 
-        monkeypatch.setattr(type(a), "mult_map_matrix", counting)
-        ok, profiles = is_strong_lefschetz(a, x + y.scale(QQ.of(2)) + z.scale(QQ.of(3)))
-        assert ok and built == [(8 - 2 * i, i) for i in range(5)]
-        assert all(row.rank == min(row.dim_source, row.dim_target) for p in profiles for row in p.rows)
+        def counting_multiply(self, u, v):
+            products.append(self.field)
+            return multiply(self, u, v)
+
+        monkeypatch.setattr(ExtensionAlgebra, "mult_map_matrix", counting_build)
+        monkeypatch.setattr(ExtensionAlgebra, "multiply", counting_multiply)
+        big = GF(4294967291)
+        for field in (big, QQ):
+            a = monomial_complete_intersection(field, (3, 4, 4))  # sigma = 8
+            x, y, z = a.generators()
+            ok, profiles = is_strong_lefschetz(a, x + y.scale(field.of(2)) + z.scale(field.of(3)))
+            assert ok
+            assert all(row.rank == min(row.dim_source, row.dim_target) for p in profiles for row in p.rows)
+        assert built == [(big, 8 - 2 * i, i) for i in range(5)]
+        assert QQ not in products
 
     def test_strong_fallback_reuses_the_central_ranks(self, monkeypatch):
         # The example above: l^3 on A_0 is bijective, l on A_1 is not, and the
@@ -152,6 +166,79 @@ class TestLefschetz:
             base, _ = is_strong_lefschetz(a, l)
             scaled, _ = is_strong_lefschetz(a, l.scale(QQ.of(rng.choice([2, -3, 7]))))
             assert base == scaled
+
+
+def exact_profile(a, w, r):
+    """The profile of w^r by plain exact elimination: no image and no witness."""
+    wr, rows = w**r, []
+    for i in range(a.sigma + 1):
+        src, tgt = a.dim(i), a.dim(i + wr.degree)
+        rank = a.mult_map_matrix(wr, i).rank()
+        rows.append(ProfileRow(i, src, tgt, rank, rank == min(src, tgt)))
+    return RankProfile(w.degree, r, tuple(rows))
+
+
+def exact_grid(a, l):
+    return [exact_profile(a, l, r) for r in range(1, max(a.sigma, 1) + 1)]
+
+
+class TestImage:
+    """Ranks over QQ are asked of the image mod q = IMAGE_PRIME first; only a
+    full rank mod q decides, and an algebra with no sound image has none."""
+
+    def test_element_deficient_mod_q_is_ranked_exactly(self, monkeypatch):
+        # l = x + q(y + z) is x mod q, neither weak nor strong Lefschetz on
+        # (2, 2, 2); over QQ it is both, through the exact fallback.
+        a = monomial_complete_intersection(QQ, (2, 2, 2))
+        x, y, z = a.generators()
+        l = x + (y + z).scale(QQ.of(IMAGE_PRIME))
+        image = a.image_of(l)
+        assert image == a.image_of(x)
+        assert not is_lefschetz(image.algebra, image)[0] and not is_strong_lefschetz(image.algebra, image)[0]
+        exact = []
+        build = ExtensionAlgebra.mult_map_matrix
+
+        def counting(self, w, i):
+            exact.extend([(w.degree, i)] * (self.field == QQ))
+            return build(self, w, i)
+
+        monkeypatch.setattr(ExtensionAlgebra, "mult_map_matrix", counting)
+        ok, profile = is_lefschetz(a, l)
+        assert ok and exact == [(1, 1)]  # x: A_1 -> A_2 has rank 2 < 3
+        del exact[:]
+        strong, profiles = is_strong_lefschetz(a, l)
+        assert strong and exact == [(3, 0), (1, 1)]  # the exact central maps, and no other
+        assert profile == exact_profile(a, l, 1) and profiles == exact_grid(a, l)
+
+    def test_denominator_q_gives_no_image(self):
+        a = monomial_complete_intersection(QQ, (3,))
+        x = a.generators()[0]
+        b = a.extend("y", MonicPoly(a, 2, [x.scale(Fraction(1, IMAGE_PRIME)), a.zero(2)]))
+        c = b.extend("z", MonicPoly.pure_power(b, 2))
+        assert a.image_of(x) is not None and a.image_of(x.scale(Fraction(2, IMAGE_PRIME))) is None
+        y = b.generator("y")
+        for alg, l in ((b, y), (b, y + b.include(x)), (c, c.include(y))):
+            assert alg.image_of(l) is None
+            ok, profiles = is_strong_lefschetz(alg, l)
+            assert profiles == exact_grid(alg, l) and ok == all(p.is_maximal for p in profiles)
+            weak, profile = is_lefschetz(alg, l)
+            assert profile == exact_profile(alg, l, 1) and weak == profile.is_maximal
+        assert not is_strong_lefschetz(b, y)[0]  # y on B_1 -> B_2 has rank 1, as with x*y mod q
+        assert is_strong_lefschetz(b, y + b.include(x))[0]
+
+    def test_quotient_whose_pivots_move_has_no_image(self):
+        # (q x + y) kills x over QQ and y mod q: equal dimensions, other kept coordinates.
+        a = stanley22()
+        x, y = a.generators()
+        g = x.scale(QQ.of(IMAGE_PRIME)) + y
+        b = a.quotient(g)
+        mod_q = a.image_of(g).algebra.quotient(a.image_of(g))
+        assert mod_q.dims == b.dims == (1, 1) and mod_q._kept != b._kept
+        assert b.image_of(b.one()) is None
+        assert a.quotient(x.scale(QQ.of(IMAGE_PRIME))).image_of(a.one()) is None  # g is 0 mod q
+        l = b.generators()[0]
+        ok, profiles = is_strong_lefschetz(b, l)
+        assert ok and profiles == exact_grid(b, l)
 
 
 class TestSearch:

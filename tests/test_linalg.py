@@ -2,12 +2,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lefschetz.algebra import IMAGE_PRIME
 from lefschetz.fields import GF, QQ
 from lefschetz.linalg import (
     Matrix,
+    _matmul_modp,
     _rref_generic,
     anti_triangularize,
     cauchy_determinant,
@@ -255,6 +258,19 @@ def test_modular_matmul_worst_case_entries():
         a = Matrix.from_rows(f, [[p - 1] * 7] * 3)
         b = Matrix.from_rows(f, [[p - 1] * 4] * 7)
         assert (a @ b).rows == ((7 * (p - 1) ** 2 % p,) * 4,) * 3
+
+
+def test_modular_matmul_worst_case_entries_at_the_image_prime():
+    # 268435399 is the largest prime below 2^28: inner width 128 runs in one
+    # int64 product, 129 takes two chunks.
+    p = IMAGE_PRIME
+    assert (2**63 - 1) // (p - 1) ** 2 == 128
+    for n in (128, 129):
+        a = np.full((3, n), p - 1, dtype=np.int64)
+        b = np.full((n, 4), p - 1, dtype=np.int64)
+        assert (_matmul_modp(a, b, p) == n * (p - 1) ** 2 % p).all()
+        prod = Matrix.from_rows(GF(p), a.tolist()) @ Matrix.from_rows(GF(p), b.tolist())
+        assert prod.rows == ((n * (p - 1) ** 2 % p,) * 4,) * 3
 
 
 # -- fraction-free elimination against the generic one and against Leibniz ----
