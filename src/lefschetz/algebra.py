@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import GF, Field, PrimeField
-from .linalg import _NP_MAX_P, Matrix, _matmul_modp
+from .linalg import _NP_MAX_P, Matrix, _matmul_modp, _rref_modp
 
 # The largest prime below 2^28: 128 (q-1)^2 < 2^63, so `_matmul_modp` is unchunked to width 128.
 IMAGE_PRIME = 268435399
@@ -345,11 +345,18 @@ class GradedAlgebra:
         return HomogeneousElement(self._image, w.degree, tuple(map(self._image.field.of, w.coeffs)))
 
     def socle_dimensions(self) -> tuple[list[int], bool]:
-        """Per-degree dimension of the common kernel of all degree-1 generator
-        multiplications; the algebra is Gorenstein iff the socle is a line."""
-        gens = self.generators()
-        socle = [n - Matrix.vstack(self.field, [self.mult_map_matrix(g, t) for g in gens], n).rank()
-                 for t, n in enumerate(self.dims)]
+        """Per-degree dimension of the common kernel of all degree-1 generator maps, asked
+        first of the image's tables as in `certify`; the algebra is Gorenstein iff it is a line."""
+        image, socle = self.image_of(self.one()), []
+        b = None if image is None else image.algebra
+        for t, n in enumerate(self.dims):
+            rank = -1
+            if b is not None:
+                stack = np.array([X[t] for X in b._tables[0]], dtype=np.int64).reshape(-1, n)
+                rank = len(_rref_modp(stack, b.field.p, full=False)[1])
+            if rank != n and b is not self:
+                rank = Matrix.vstack(self.field, [self.mult_map_matrix(g, t) for g in self.generators()], n).rank()
+            socle.append(n - rank)
         return socle, sum(socle) == 1
 
     def fingerprint(self) -> str:

@@ -10,9 +10,9 @@ Rank values are always exact.  Every full-rank question is asked first of the
 algebra's image (`GradedAlgebra.image_of`): over QQ the tower replayed over
 GF(268435399), which exists when no denominator vanishes and no quotient's
 pivots move mod q.  Every map of the image is then the reduction of the exact
-map, so a rank mod q equal to the bound is the rank over QQ.  Other ranks are
-exact, after a full-rank witness at a second prime.  Over GF(p) the image is
-the algebra.
+map, so a rank mod q equal to the bound is the rank over QQ.  Other ranks
+come from exact elimination over the algebra's field.  Over GF(p) the image
+is the algebra.
 
 A strong check needs only the central maps l^(sigma-2i): A_i -> A_(sigma-i).
 When they are all bijective, l^r: A_i -> A_(i+r) is injective if i+r <= sigma-i,
@@ -34,8 +34,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import GradedAlgebra, HomogeneousElement
-from .fields import QQ, PrimeField
-from .linalg import Matrix, _matmul_modp, _rref_modp, modular_rank_lower_bound
+from .fields import PrimeField
+from .linalg import Matrix, _matmul_modp, _rref_modp
 
 
 class Verdict(str, enum.Enum):
@@ -79,16 +79,9 @@ class RankProfile:
 
 
 def exact_rank(m: Matrix) -> int:
-    """Exact rank; certifies full rank via a modular witness when possible."""
-    bound = min(m.nrows, m.ncols)
-    if bound == 0:
-        return 0
-    if bound == 1:
+    """Exact rank, by elimination unless a side is at most 1."""
+    if min(m.nrows, m.ncols) <= 1:
         return 0 if m.is_zero() else 1
-    if m.field == QQ and m.nrows * m.ncols > 16:
-        lb = modular_rank_lower_bound(m)
-        if lb == bound:
-            return lb
     return m.rank()
 
 
@@ -165,7 +158,7 @@ def _central_maps_bijective_on_image(a: GradedAlgebra, l: HomogeneousElement) ->
     for i in range(s // 2, -1, -1):
         if i < s // 2:
             c = _matmul_modp(L[s - i - 1], _matmul_modp(c, L[i], p), p)
-        if s > 2 * i and len(_rref_modp(c, p)[1]) < a.dim(i):
+        if s > 2 * i and len(_rref_modp(c, p, full=False)[1]) < a.dim(i):
             return False
     return True
 

@@ -6,8 +6,9 @@ fraction-free: each row is cleared of its denominators and the integer
 matrix is reduced by Bareiss's rule, so `Fraction`s appear only when the
 reduced echelon form is divided out at the end.  Determinants come from the
 same integer elimination over every field.  Over GF(p), echelon forms and
-products use int64 numpy arrays mod p when no intermediate product can
-overflow; larger primes take the generic exact routine, with the same result.
+products use int64 numpy arrays mod p, reduced only as often as overflow
+requires; larger primes take the generic exact routine, with the same result.
+A rank mod p is one forward pass; the reduced echelon form adds a back pass.
 """
 
 from __future__ import annotations
@@ -142,9 +143,7 @@ class Matrix:
         """
         if self._rref_cache is None:
             f = self.field
-            if self.nrows == 0 or self.ncols == 0:
-                rows, pivots = self.rows, ()
-            elif isinstance(f, PrimeField) and f.p <= _NP_MAX_P:
+            if isinstance(f, PrimeField) and f.p <= _NP_MAX_P:
                 arr, pivots = _rref_modp(self._np(), f.p)
                 rows = tuple(map(tuple, arr.tolist()))
             elif f == QQ:
@@ -157,6 +156,8 @@ class Matrix:
         return self._rref_cache
 
     def rank(self) -> int:
+        if self._rref_cache is None and isinstance(self.field, PrimeField) and self.field.p <= _NP_MAX_P:
+            return len(_rref_modp(self._np(), self.field.p, full=False)[1])  # the forward pass alone
         return len(self.rref()[1])
 
     def kernel_basis(self) -> list[tuple]:
@@ -244,27 +245,41 @@ def _rref_generic(f: Field, rows, nrows: int, ncols: int):
     return tuple(tuple(row) for row in m), pivots
 
 
-def _rref_modp(a: np.ndarray, p: int):
-    a = a % p
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
+def _rref_modp(a: np.ndarray, p: int, full: bool = True):
+    """Reduced echelon form of a mod p and the pivot columns of `_rref_generic`;
+    without `full`, None and the pivots.  A forward step reduces its pivot column
+    and row and subtracts at most (p-1)^2 from the trailing block, reduced every
+    (2^63-1)//(p-1)^2 - 1 steps and at least every step (Dumas, Giorgi, Pernet,
+    ACM TOMS 2008).  The back pass clears above each pivot on the pivot rows, by the same rule."""
+    a, out = a % p, np.zeros_like(a) if full else None
+    (nrows, ncols), pivots = a.shape, []
+    budget = max(1, (2**63 - 1) // (p - 1) ** 2 - 1)
     for c in range(ncols):
-        if r >= nrows:
+        r = len(pivots)
+        if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        col = a[r:, c] % p
+        nz = col.nonzero()[0]
+        if not nz.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
         pivots.append(c)
-        r += 1
-    return a, pivots
+        if not full and (r + 1 == nrows or c + 1 == ncols):  # no block left to clear
+            break
+        i = int(nz[0])
+        row = a[r + i, c + 1:] % p * pow(int(col[i]), -1, p) % p
+        if i:  # row r moves to r + i; the pivot row is kept in row
+            a[r + i, c + 1:], col[i] = a[r, c + 1:], col[0]
+        a[r + 1:, c + 1:] -= col[1:, None] * row
+        if len(pivots) % budget == 0:
+            a[r + 1:, c + 1:] %= p
+        if full:
+            out[r, c], out[r, c + 1:] = 1, row
+    for k, c in reversed(list(enumerate(pivots)) if full else []):  # column c of the rows above k is reduced
+        out[k, c:] %= p
+        out[:k, c:] -= out[:k, c, None] * out[k, c:]
+        if (len(pivots) - k) % budget == 0:
+            out[:k] %= p
+    return out, pivots
 
 
 def _matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

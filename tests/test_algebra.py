@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from lefschetz.algebra import (
+    IMAGE_PRIME,
     MonicPoly,
+    QuotientAlgebra,
     check_symmetric_unimodal,
     monomial_complete_intersection,
     trivial_algebra,
 )
 from lefschetz.fields import GF, QQ
+from lefschetz.linalg import Matrix
 
 import indep
 
@@ -300,6 +303,46 @@ class TestSocle:
             assert gorenstein
             assert socle[-1] == 1 and sum(socle) == 1
             assert check_symmetric_unimodal(a.hilbert_function()) == (True, True)
+
+    def test_stack_deficient_mod_q_is_ranked_exactly(self, monkeypatch):
+        # B = A/(xy + q yz)/(xz + q yz) on A = QQ[x,y,z]/(x^2,y^2,z^2) is
+        # Gorenstein, and its image keeps the same coordinates.  Mod q the forms
+        # are xy and xz, so x is in the image's socle, and its degree-1 stack has
+        # rank 2 < 3: degree 1 falls back to the exact maps, degree 0 does not.
+        a = monomial_complete_intersection(QQ, (2, 2, 2))
+        x, y, z = a.generators()
+        q = QQ.of(IMAGE_PRIME)
+        b1 = a.quotient(x * y + (y * z).scale(q))
+        b = b1.quotient(b1.element(2, [1, q]))  # xz + q yz on the basis xz, yz of B1_2
+        image = b.image_of(b.one()).algebra
+        assert image._kept == b._kept and image.socle_dimensions() == ([0, 1, 1], False)
+        exact = []
+        build = QuotientAlgebra.mult_map_matrix
+
+        def counting(self, w, i):
+            exact.extend([i] * (self.field == QQ))
+            return build(self, w, i)
+
+        monkeypatch.setattr(QuotientAlgebra, "mult_map_matrix", counting)
+        assert b.socle_dimensions() == ([0, 0, 1], True)
+        assert sorted(set(exact)) == [1, 2]  # the top degree maps to zero: rank 0 < 1 on the image too
+        assert exact_socle(b) == [0, 0, 1]
+
+    def test_no_image_is_ranked_exactly(self):
+        a = monomial_complete_intersection(QQ, (3,))
+        b = a.extend("y", MonicPoly(a, 2, [a.generators()[0].scale(Fraction(1, IMAGE_PRIME)), a.zero(2)]))
+        x, y = b.generators()
+        c = b.quotient(x * y)
+        for alg, socle in ((b, [0, 0, 0, 1]), (c, [0, 1, 1])):
+            assert alg.image_of(alg.one()) is None
+            assert alg.socle_dimensions() == (socle, sum(socle) == 1) and exact_socle(alg) == socle
+
+
+def exact_socle(alg):
+    """Socle dimensions from the exact stacked generator maps, with no image."""
+    gens = alg.generators()
+    return [n - Matrix.vstack(alg.field, [alg.mult_map_matrix(g, t) for g in gens], n).rank()
+            for t, n in enumerate(alg.dims)]
 
 
 class TestRandomElements:

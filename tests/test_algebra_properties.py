@@ -100,6 +100,17 @@ def test_mult_map_columns_are_products(data):
 
 @BUDGET
 @given(towers())
+def test_socle_is_the_kernel_of_the_exact_generator_stack(data):
+    stages, _ = data
+    for alg in stages:
+        gens = alg.generators()
+        socle = [n - Matrix.vstack(alg.field, [alg.mult_map_matrix(g, t) for g in gens], n).rank()
+                 for t, n in enumerate(alg.dims)]
+        assert alg.socle_dimensions() == (socle, sum(socle) == 1)
+
+
+@BUDGET
+@given(towers())
 def test_products_commute_and_associate(data):
     stages, rng = data
     for alg in stages:

@@ -12,6 +12,7 @@ from lefschetz.linalg import (
     Matrix,
     _matmul_modp,
     _rref_generic,
+    _rref_modp,
     anti_triangularize,
     cauchy_determinant,
     modular_rank_lower_bound,
@@ -349,3 +350,80 @@ def test_det_matches_leibniz(field):
         assert m.det() == leibniz_det(m)
 
     check()
+
+
+# -- elimination mod p: forward pass, back pass and delayed reduction ----------
+
+# Every kind of budget: GF(2), GF(3) and GF(32003) never reduce the trailing
+# block of a small matrix, IMAGE_PRIME does every 127 steps, and 2^31-1 and
+# the largest prime <= _NP_MAX_P at every step.
+MODP_FIELDS = (GF(2), GF(3), GF(32003), GF(IMAGE_PRIME), GF(2147483647), GF(3037000493))
+SHAPES = ("tall", "wide", "square", "one row", "one column")
+
+
+@st.composite
+def modp_matrices(draw, field, max_n=7):
+    """A matrix over GF(p) of one of SHAPES; half of them a product through a
+    smaller inner dimension, so rank-deficient, and some with zero columns.
+    Entries p-1 are drawn often."""
+    p = field.p
+    a, b = sorted(draw(st.lists(st.integers(1, max_n), min_size=2, max_size=2)))
+    shape = draw(st.sampled_from(SHAPES))
+    nr, nc = {"tall": (b + 1, a), "wide": (a, b + 1), "square": (b, b), "one row": (1, b), "one column": (b, 1)}[shape]
+    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+
+    def block(r, c):
+        return [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+
+    rows = block(nr, nc)
+    if min(nr, nc) >= 2 and draw(st.booleans()):
+        k = draw(st.integers(1, min(nr, nc) - 1))
+        left, right = block(nr, k), block(k, nc)
+        rows = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+    zero = draw(st.sets(st.integers(0, nc - 1), max_size=nc // 3))
+    return Matrix(field, nr, nc, tuple(tuple(0 if j in zero else x for j, x in enumerate(row)) for row in rows))
+
+
+@pytest.mark.parametrize("field", MODP_FIELDS, ids=repr)
+def test_modular_elimination_matches_generic_elimination(field):
+    @BUDGET
+    @given(modp_matrices(field))
+    def check(m):
+        rows, pivots = _rref_generic(field, m.rows, m.nrows, m.ncols)
+        red, full_pivots = _rref_modp(m._np(), field.p)
+        none, rank_pivots = _rref_modp(m._np(), field.p, full=False)
+        assert full_pivots == rank_pivots == pivots and none is None
+        assert tuple(map(tuple, red.tolist())) == rows
+        assert m.rank() == len(pivots)
+
+    check()
+
+
+def worst_case_elimination(n, p, extra_rows=3, extra_cols=2):
+    """L U [I | X] mod p, L an (n + extra_rows) x n unit lower triangular and U an
+    n x n unit upper triangular matrix, with -1 = p-1 for every other entry of L,
+    U and X.  Every multiplier of the forward pass is p-1 and every pivot row is
+    a row of U [I | X], so each step subtracts (p-1)^2 from every trailing entry
+    of the first n columns.  The reduced echelon form is [I | X] above zero rows,
+    so each back step subtracts (p-1)^2 from the last extra_cols columns of
+    every row above it.  Returns the matrix and its reduced echelon form."""
+    low = np.tril(np.full((n + extra_rows, n), -1), -1) + np.eye(n + extra_rows, n, dtype=np.int64)
+    up = np.triu(np.full((n, n), -1), 1) + np.eye(n, dtype=np.int64)
+    rref = np.hstack([np.eye(n, dtype=np.int64), np.full((n, extra_cols), -1)])
+    a = (low @ up @ rref) % p  # entries at most n^2 in size: exact in int64
+    return a, np.vstack([rref % p, np.zeros((extra_rows, n + extra_cols), dtype=np.int64)])
+
+
+@pytest.mark.parametrize("p, n", [(IMAGE_PRIME, 300), (2147483647, 6), (3037000493, 6)])
+def test_modular_elimination_worst_case_entries(p, n):
+    # The trailing block is reduced every (2^63-1)//(p-1)^2 - 1 steps, and at
+    # least every step: every 127 at the image prime, where 128 steps would
+    # still be exact and 129 overflow, and every step at 2^31-1, where 3 steps
+    # overflow, and at 3037000493, where 2 do.
+    budget = {IMAGE_PRIME: 127, 2147483647: 1, 3037000493: 1}[p]
+    assert max(1, (2**63 - 1) // (p - 1) ** 2 - 1) == budget and n > 2 * budget
+    a, expected = worst_case_elimination(n, p)
+    red, pivots = _rref_modp(a, p)
+    assert pivots == list(range(n)) and (red == expected).all()
+    assert _rref_modp(a, p, full=False)[1] == pivots
+    assert Matrix(GF(p), *a.shape, tuple(map(tuple, a.tolist()))).rank() == n
