@@ -6,8 +6,8 @@ An algebra is built from the base field by two kinds of steps:
   each a_i homogeneous of degree i in A.  B is a free A-module with basis
   1, x, ..., x^{d-1}, so the degree-t component decomposes as
   B_t = A_t + A_{t-1} x + ... + A_{t-d+1} x^{d-1}.
-* quotient by a nonzero homogeneous form g: B_t = A_t / g*A_{t-deg g}, on
-  a subset of A's basis coordinates, with a stored projection relative to A.
+* quotient by a nonzero homogeneous form g: B_t = A_t / g*A_{t-deg g}, on a
+  subset of A's coordinates, with the projection A_t -> B_t stored for t >= deg g.
 
 Each kind defines its product once, as a block map (`_map`): the base field
 gives a scalar, an extension assembles its base's maps block by block, and a
@@ -558,7 +558,7 @@ class QuotientAlgebra(GradedAlgebra):
     The degree-t basis consists of the parent basis coordinates `_kept[t]`
     not needed to span g*A_{t-deg g}.  A class lifts to the parent element
     with those coordinates, and the projection (pi) relative to the parent is
-    stored per degree.
+    stored in each degree t >= deg g; below it B_t = A_t and pi is the identity.
     """
 
     def __init__(self, parent: GradedAlgebra, g: HomogeneousElement):
@@ -576,7 +576,6 @@ class QuotientAlgebra(GradedAlgebra):
         for t in range(parent.sigma + 1):
             n = parent.dim(t)
             if t < d:
-                pi[t] = Matrix.identity(self.field, n)
                 kept[t] = tuple(range(n))
                 dims.append(n)
                 continue
@@ -595,7 +594,7 @@ class QuotientAlgebra(GradedAlgebra):
         self._kept = kept
 
     def projection_matrix(self, t: int) -> Matrix:
-        return self._pi[t]
+        return self._pi[t] if t >= self.form.degree else Matrix.identity(self.field, self.dim(t))
 
     def section_matrix(self, t: int) -> Matrix:
         """The matrix of `lift` in degree t: column j is the parent basis vector _kept[t][j]."""
@@ -619,24 +618,21 @@ class QuotientAlgebra(GradedAlgebra):
         t = pu.degree
         if t > self.sigma:
             return self.zero(t)
-        return HomogeneousElement(self, t, self._pi[t].mul_vec(pu.coeffs))
+        return HomogeneousElement(self, t, self._pi[t].mul_vec(pu.coeffs) if t in self._pi else pu.coeffs)
 
     def _map(self, w, i, cols):
         t = i + w.degree
         if t > self.sigma:
             return []
         inner = self.parent._map(self.lift(w), i, [self._kept[i][c] for c in cols])
-        if t < self.form.degree:
+        if t not in self._pi:
             return inner
         return list((self._pi[t] @ Matrix(self.field, len(inner), len(cols), tuple(inner))).rows)
-
-    def _product(self, u, v):
-        return self.project(self.parent.multiply(self.lift(u), self.lift(v))).coeffs  # cheaper than pi times a map
 
     def _compile(self):
         XA, FA = self.parent._tables
         p, kept = self.field.p, self._kept
-        pi = {t: m._np() for t, m in self._pi.items() if t >= self.form.degree}
+        pi = {t: m._np() for t, m in self._pi.items()}
 
         def project(t, m):  # pi_t m; no rows above the socle degree
             return m[:0] if t > self.sigma else _matmul_modp(pi[t][:, :len(m)], m, p) if t in pi else m

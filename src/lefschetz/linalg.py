@@ -5,10 +5,10 @@ Entries are exact scalars of a single field.  Elimination over QQ is
 fraction-free: each row is cleared of its denominators and the integer
 matrix is reduced by Bareiss's rule, so `Fraction`s appear only when the
 reduced echelon form is divided out at the end.  Determinants come from the
-same integer elimination over every field.  Over GF(p), echelon forms and
-products use int64 numpy arrays mod p, reduced only as often as overflow
-requires; larger primes take the generic exact routine, with the same result.
-A rank mod p is one forward pass; the reduced echelon form adds a back pass.
+same integer elimination over every field.  `Matrix` products use exact field
+arithmetic, and mod-p products of int64 arrays are `_matmul_modp`.  Echelon
+forms over GF(p) use int64 arrays mod p, reduced only as often as overflow
+requires (larger primes: the generic routine); a rank mod p is a forward pass.
 """
 
 from __future__ import annotations
@@ -109,12 +109,7 @@ class Matrix:
         require_same_field(self.field, other.field)
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        if self.nrows == 0 or other.ncols == 0 or self.ncols == 0:
-            return Matrix.zeros(self.field, self.nrows, other.ncols)
         f = self.field
-        if isinstance(f, PrimeField) and f.p <= _NP_MAX_P:
-            prod = _matmul_modp(self._np(), other._np(), f.p)
-            return Matrix(f, self.nrows, other.ncols, tuple(map(tuple, prod.tolist())))
         bt = other.transpose().rows
         mul, sm = f.mul, f.sum
         rows = tuple(tuple(sm(mul(a, b) for a, b in zip(row, col)) for col in bt) for row in self.rows)
@@ -124,9 +119,6 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         f = self.field
-        if isinstance(f, PrimeField):
-            p = f.p
-            return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in self.rows)
         mul, sm = f.mul, f.sum
         return tuple(sm(mul(a, b) for a, b in zip(row, vec)) for row in self.rows)
 

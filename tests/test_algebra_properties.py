@@ -1,7 +1,8 @@
 """Property tests of the multiplication core, its compiled tables and the
 strong Lefschetz check on random towers: pure and general monic extensions,
 quotients, a quotient of a quotient and an extension of a quotient, over QQ,
-GF(2), GF(3) and GF(32003), and GF(3037000493) for the tables."""
+GF(2), GF(3) and GF(32003), GF(3037000493) for the tables and GF(4294967291)
+for quotients without them."""
 
 import math
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lefschetz.algebra import (
     ExtensionAlgebra,
     MonicPoly,
+    QuotientAlgebra,
     TrivialAlgebra,
     monomial_complete_intersection,
     trivial_algebra,
@@ -25,6 +27,7 @@ FIELDS = (QQ, GF(2), GF(3), GF(32003))
 # Every field on the compiled path: 3037000493 is the largest prime <= _NP_MAX_P.
 TABLE_FIELDS = FIELDS[1:] + (GF(3037000493),)
 KINDS = ("pure", "general", "quotient", "quotient of quotient", "extension of quotient")
+QUOTIENT_KINDS = KINDS[2:]
 
 # A few seconds in all; fixed examples, and no example database on disk.
 BUDGET = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -63,10 +66,10 @@ def quotient(alg, rng):
 
 
 @st.composite
-def towers(draw, fields=FIELDS):
+def towers(draw, fields=FIELDS, kinds=KINDS):
     """Every algebra of one random tower, base field first."""
     field = draw(st.sampled_from(fields))
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(kinds))
     degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     rng = random.Random(draw(st.integers(0, 2**32)))
     stages = [trivial_algebra(field)]
@@ -118,6 +121,38 @@ def test_products_commute_and_associate(data):
             u, v, w = (random_element(alg, rng.randint(0, alg.sigma), rng) for _ in range(3))
             assert u * v == v * u
             assert (u * v) * w == u * (v * w)
+
+
+@BUDGET
+@given(towers(fields=(QQ, GF(4294967291)), kinds=QUOTIENT_KINDS))
+def test_quotient_products_are_projected_parent_products(data):
+    # Fields without tables: quotient products come from the generic product
+    # through the quotient's block map, held here to the projected parent product.
+    stages, rng = data
+    for b in stages:
+        if not isinstance(b, QuotientAlgebra):
+            continue
+        assert b._tables is None
+        for s in range(min(b.sigma, 2) + 1):
+            for t in range(min(b.sigma, 2) + 1):
+                u, v = random_element(b, s, rng), random_element(b, t, rng)
+                assert b.multiply(u, v) == b.project(b.parent.multiply(b.lift(u), b.lift(v)))
+
+
+@BUDGET
+@given(towers(fields=FIELDS + (GF(4294967291),), kinds=QUOTIENT_KINDS))
+def test_projections_split_the_lifts_in_every_degree(data):
+    stages, rng = data
+    for b in stages:
+        if not isinstance(b, QuotientAlgebra):
+            continue
+        assert all(t >= b.form.degree for t in b._pi)  # below the form's degree pi is the identity
+        for t in range(b.sigma + 1):
+            u = random_element(b, t, rng)
+            assert b.project(b.lift(u)) == u
+            pi, iota = b.projection_matrix(t), b.section_matrix(t)
+            assert (pi.nrows, pi.ncols) == (b.dim(t), b.parent.dim(t))
+            assert pi @ iota == Matrix.identity(b.field, b.dim(t))
 
 
 @BUDGET

@@ -238,27 +238,39 @@ def test_modular_rank_lower_bound_on_integer_matrices():
         assert lb == m.rank()
 
 
+# `_matmul_modp` sums chunks of 2 and of 1 inner column at the first two primes;
+# at the third (p-1)^2 overflows an int64, and only `Matrix @` applies.
+MATMUL_CHUNKS = ((2147483647, 2), (3037000493, 1), (4294967291, None))
+
+
 def test_modular_matmul_chunking_exact():
     rng = random.Random(9)
-    # Chunks of 2 and of 1 column under _NP_MAX_P; the generic product above it.
-    for p in (2147483647, 3037000493, 4294967291):
+    for p, chunk in MATMUL_CHUNKS:
         f = GF(p)
         a = Matrix.from_rows(f, [[rng.randrange(p) for _ in range(7)] for _ in range(3)])
         b = Matrix.from_rows(f, [[rng.randrange(p) for _ in range(4)] for _ in range(7)])
         prod = a @ b
+        arrays = None
+        if chunk is not None:
+            assert (2**63 - 1) // (p - 1) ** 2 == chunk
+            arrays = _matmul_modp(a._np(), b._np(), p).tolist()
         for i in range(3):
             for j in range(4):
                 expected = sum(a.entry(i, k) * b.entry(k, j) for k in range(7)) % p
                 assert prod.entry(i, j) == expected
+                if arrays is not None:
+                    assert arrays[i][j] == expected
 
 
 def test_modular_matmul_worst_case_entries():
     # Every entry p-1: each chunk sum is chunk*(p-1)^2, on top of an acc < p.
-    for p in (2147483647, 3037000493, 4294967291):
+    for p, chunk in MATMUL_CHUNKS:
         f = GF(p)
         a = Matrix.from_rows(f, [[p - 1] * 7] * 3)
         b = Matrix.from_rows(f, [[p - 1] * 4] * 7)
         assert (a @ b).rows == ((7 * (p - 1) ** 2 % p,) * 4,) * 3
+        if chunk is not None:
+            assert _matmul_modp(a._np(), b._np(), p).tolist() == [[7 * (p - 1) ** 2 % p] * 4] * 3
 
 
 def test_modular_matmul_worst_case_entries_at_the_image_prime():
