@@ -120,6 +120,13 @@ class HomogeneousElement:
         return f"<{self} : degree {self.degree}>"
 
 
+def monomial_label(label: str, var: str, j: int) -> str:
+    """Label of the monomial (label)*var^j, for the label of a monomial in the
+    earlier variables: `1`, `x`, `x^j` and their products joined by `*`."""
+    power = var if j == 1 else f"{var}^{j}"
+    return label if j == 0 else power if label == "1" else f"{label}*{power}"
+
+
 def _require_same_algebra(u: HomogeneousElement, v: HomogeneousElement) -> None:
     if u.algebra is not v.algebra:
         raise ValueError("elements belong to different algebras")
@@ -246,13 +253,17 @@ class GradedAlgebra:
         raise NotImplementedError
 
     def multiply(self, u: HomogeneousElement, v: HomogeneousElement) -> HomogeneousElement:
-        """u*v: the compiled map of the lower-degree factor, else `_product`."""
+        """u*v: a scaled copy if a factor has degree 0, else the compiled map of
+        the lower-degree factor, else `_product`."""
         _require_same_algebra(u, v)
         if u.algebra is not self:
             raise ValueError("elements belong to a different algebra")
         t = u.degree + v.degree
         if t > self.sigma:
             return self.zero(t)
+        if not u.degree or not v.degree:  # a scalar times the other factor
+            c, w = (u.coeffs[0], v) if not u.degree else (v.coeffs[0], u)
+            return HomogeneousElement(self, t, tuple(self.field.mul(c, a) for a in w.coeffs))
         if not self._tables:
             return HomogeneousElement(self, t, self._product(u, v))
         u, v = (u, v) if u.degree <= v.degree else (v, u)
@@ -529,22 +540,8 @@ class ExtensionAlgebra(GradedAlgebra):
         return lifted + (HomogeneousElement(self, 1, (f.zero,) * self.base.dim(1) + (f.one,)),)
 
     def basis_labels(self, degree):
-        labels = []
-        for j, lo, hi in self._layout(degree):
-            if j == 0:
-                power = ""
-            elif j == 1:
-                power = self.var
-            else:
-                power = f"{self.var}^{j}"
-            for bl in self.base.basis_labels(degree - j):
-                if not power:
-                    labels.append(bl)
-                elif bl == "1":
-                    labels.append(power)
-                else:
-                    labels.append(f"{bl}*{power}")
-        return tuple(labels)
+        return tuple(monomial_label(bl, self.var, j)
+                     for j, lo, hi in self._layout(degree) for bl in self.base.basis_labels(degree - j))
 
     def describe(self):
         f = self.field

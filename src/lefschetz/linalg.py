@@ -317,14 +317,14 @@ def cauchy_determinant(field: Field, u: Sequence, v: Sequence):
             for c, d in w[i + 1:]:
                 num *= c * b - a * d
                 den *= d * b
+    sums = 1  # zero iff some u_i + v_j is: the characteristic is 0 or prime
     for a, b in u:
         for c, d in v:
-            s = a * d + c * b
-            if field.is_zero(field.of(s)):
-                raise ValueError("undefined Cauchy matrix entry: u_i + v_j = 0")
             num *= b * d
-            den *= s
-    return field.div(field.of(num), field.of(den))
+            sums *= a * d + c * b
+    if field.is_zero(field.of(sums)):
+        raise ValueError("undefined Cauchy matrix entry: u_i + v_j = 0")
+    return field.div(field.of(num), field.of(den * sums))
 
 
 @dataclass(frozen=True)

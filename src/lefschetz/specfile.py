@@ -11,8 +11,10 @@ Grammar (one directive per line; blank lines and `#` comments are ignored):
 Polynomials use integer coefficients, `*` products, `^` powers and `+`/`-`;
 no parentheses.  Every extension relation must be monic in its new variable
 with homogeneous lower terms; quotient forms must be homogeneous in the
-variables already introduced.  The constructed algebra is a pure function of
-the file: random quotient forms carry their own seeds.
+variables already introduced.  A form is read in the algebra built so far: a
+basis monomial of it is read as its coordinate, and any other monomial is
+multiplied out from the generators.  The constructed algebra is a pure
+function of the file: random quotient forms carry their own seeds.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import hashlib
 import random
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Union
 
-from .algebra import GradedAlgebra, HomogeneousElement, MonicPoly, trivial_algebra
+from .algebra import GradedAlgebra, HomogeneousElement, MonicPoly, monomial_label, trivial_algebra
 from .fields import GF, QQ, Field
 
 Term = tuple[int, tuple[tuple[str, int], ...]]  # (coefficient, sorted ((var, exp), ...))
@@ -266,20 +269,28 @@ def _validate_extension(terms: list[Term], var: str, line: int) -> None:
 
 
 def _element_from_terms(algebra: GradedAlgebra, terms: tuple[Term, ...], line: int) -> HomogeneousElement:
-    """The form sum c*m.  Monomials share their prefixes: each is its prefix
-    one variable shorter times that variable."""
+    """The form sum c*m.  A monomial whose label, in adjunction order, is a
+    basis label of its degree is that basis element.  The others share their
+    prefixes: each is its prefix one variable shorter times that variable."""
     degree = _term_degree(terms[0])
     if degree > algebra.sigma:
         raise SpecError(line, f"degree {degree} exceeds the socle degree {algebra.sigma}")
-    gens = dict(zip(algebra.variable_names(), algebra.generators()))
-    monomials, out = {(): algebra.one()}, algebra.zero(degree)
+    f, names = algebra.field, algebra.variable_names()
+    basis = {label: c for c, label in enumerate(algebra.basis_labels(degree))}
+    gens = dict(zip(names, algebra.generators()))
+    coeffs, monomials, out = [f.zero] * algebra.dim(degree), {(): algebra.one()}, algebra.zero(degree)
     for coeff, exps in terms:
+        powers = dict(exps)
+        c = basis.get(reduce(lambda label, v: monomial_label(label, v, powers.get(v, 0)), names, "1"))
+        if c is not None:
+            coeffs[c] = f.add(coeffs[c], f.of(coeff))
+            continue
         word = tuple(var for var, e in exps for _ in range(e))
         for k in range(1, len(word) + 1):
             if word[:k] not in monomials:
                 monomials[word[:k]] = algebra.multiply(monomials[word[:k - 1]], gens[word[k - 1]])
-        out = out + monomials[word].scale(algebra.field.of(coeff))
-    return out
+        out = out + monomials[word].scale(f.of(coeff))
+    return out + HomogeneousElement(algebra, degree, tuple(coeffs))
 
 
 def _monic_from_terms(algebra: GradedAlgebra, step: ExtendStep) -> MonicPoly:

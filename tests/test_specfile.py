@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import pytest
 
+from lefschetz.algebra import ExtensionAlgebra, GradedAlgebra
 from lefschetz.fields import GF, QQ
-from lefschetz.specfile import SpecError, parse_spec
+from lefschetz.specfile import AlgebraSpec, SpecError, _element_from_terms, parse_spec
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 STANLEY22 = """field rational
 extend x : x^2
@@ -51,6 +56,45 @@ class TestParsing:
         second = parse_spec(COUNTEREXAMPLE).build()
         assert first.hilbert_function() == second.hilbert_function()
         assert first.fingerprint() == second.fingerprint()
+
+
+def read_form(monkeypatch, spec, terms):
+    """The quotient form with the given terms over the spec's tower, and the
+    (degree, degree) of each ExtensionAlgebra product made while it is read."""
+    tower, calls = AlgebraSpec(spec.field, spec.steps[:-1]).build(), []
+
+    def counting(self, u, v):
+        calls.append((u.degree, v.degree))
+        return GradedAlgebra.multiply(self, u, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExtensionAlgebra, "multiply", counting)
+        return _element_from_terms(tower, terms, spec.steps[-1].line), calls
+
+
+class TestFormReading:
+    def test_basis_monomials_are_read_without_products(self, monkeypatch):
+        # The form is read in the tower, an ExtensionAlgebra: its 71 basis
+        # monomials are coordinates, and only the three monomials outside the
+        # basis are multiplied out, by 8 prefix products each (none is shared).
+        spec = parse_spec((SPECS / "form512.spec").read_text())
+        terms = spec.steps[-1].terms
+        caps = {f"x{i}": a for i, a in enumerate((4, 4, 4, 4, 2), start=1)}
+        inside = tuple(t for t in terms if all(e < caps[v] for v, e in t[1]))
+        assert len(inside) == 71 and len(terms) == 74
+        basis_form, calls = read_form(monkeypatch, spec, inside)
+        assert calls == []
+        form, calls = read_form(monkeypatch, spec, terms)
+        assert form.coeffs == basis_form.coeffs  # the three others are zero
+        assert len(calls) == 24
+
+    def test_basis_monomials_are_matched_in_adjunction_order(self, monkeypatch):
+        # x10 sorts before x2, but the basis label is x2^2*x10.
+        spec = parse_spec("field rational\nextend x2 : x2^3\nextend x10 : x10^3 + x2*x10^2\n"
+                          "quotient : x10*x2^2 - 2*x10^2*x2\n")
+        form, calls = read_form(monkeypatch, spec, spec.steps[-1].terms)
+        assert calls == []
+        assert str(form) == "x2^2*x10 + -2*x2*x10^2"
 
 
 class TestParseErrors:
