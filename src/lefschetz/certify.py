@@ -21,7 +21,10 @@ l^(sigma-2j) with j = sigma-i-r < i, or maps to zero: its rank is
 min(dim A_i, dim A_(i+r)) over any field (Harima et al., The Lefschetz
 Properties, LNM 2080, 2013).  Their images are the chains
 C_i = L_(sigma-i-1) C_(i+1) L_i of the image's maps L_t of l.  If one is not
-bijective the exact central maps are ranked, and every map if need be.
+bijective, the powers are ranked from l^sigma down to l, and earlier ranks decide
+a map without building it: l^r is injective on A_i where a longer power is, onto
+A_t where a longer power is, and w is onto A_(i+deg w) where it maps A_(i-1) onto
+A_(i-1+deg w), as A_(i+deg w) = A_1 w A_(i-1) = w A_i (A is generated by A_1).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -92,19 +96,24 @@ def _rank(a: GradedAlgebra, w: HomogeneousElement, image: Optional[HomogeneousEl
 
 
 def _profile_for_power(a: GradedAlgebra, w_power: Optional[HomogeneousElement], k: int, r: int,
-                       maximal: bool = False, known: Optional[dict] = None) -> RankProfile:
-    """Ranks of w_power = w^r, w of degree k, on every component; with maximal each rank is
-    the bound and w_power is not needed.  known[(r, i)] is a rank computed before."""
-    rows, known, dims, deg = [], known or {}, a.dims, k * r
+                       maximal: bool = False, facts: Optional[tuple] = None) -> RankProfile:
+    """Ranks of w_power = w^r, w of degree k, on every component; with maximal each rank is the bound
+    and w_power is not needed.  facts: (injective sources, onto targets) of longer powers of w."""
+    rows, dims, deg, (injective, onto) = [], a.dims, k * r, facts or (set(), set())
     zero = not maximal and w_power.is_zero()
     image = None if maximal or zero else a.image_of(w_power)
     for i, src in enumerate(dims):
         tgt = dims[i + deg] if i + deg < len(dims) else 0
         bound = min(src, tgt)
-        if bound == 0 or zero:
-            rows.append(ProfileRow(i, src, tgt, 0, bound == 0))
-            continue
-        rank = bound if maximal else known[r, i] if (r, i) in known else _rank(a, w_power, image, i, bound)
+        if maximal or zero or bound == 0:
+            rank = 0 if zero else bound
+        else:
+            derived = i in injective or i + deg in onto or i and rows[i - 1].rank == rows[i - 1].dim_target
+            rank = bound if derived else _rank(a, w_power, image, i, bound)
+            if rank == src:
+                injective.add(i)
+            if rank == tgt:
+                onto.add(i + deg)
         rows.append(ProfileRow(i, src, tgt, rank, rank == bound))
     return RankProfile(k, r, tuple(rows))
 
@@ -126,25 +135,16 @@ def is_lefschetz(a: GradedAlgebra, w: HomogeneousElement) -> tuple[bool, RankPro
 
 def is_strong_lefschetz(a: GradedAlgebra, l: HomogeneousElement) -> tuple[bool, list[RankProfile]]:
     """Whether every power l^r (r = 1..sigma) multiplies with maximal rank (higher
-    powers act on zero spaces), from the central maps as the module docstring says."""
+    powers act on zero spaces), as the module docstring says."""
     if l.degree != 1:
         raise ValueError("strong Lefschetz elements have degree 1")
     h, s = a.hilbert_function(), a.sigma
     if h == h[::-1] and _central_maps_bijective_on_image(a, l):
         return True, [_profile_for_power(a, None, 1, r, True) for r in range(1, max(s, 1) + 1)]
-    powers = [a.one()]
-    for _ in range(max(s, 1)):
-        powers.append(a.multiply(powers[-1], l))
-    # A non-symmetric Hilbert function or a zero l^sigma fails before any map
-    # is built; the full grid reuses the central ranks computed before a failure.
-    known = {}
-    central = h == h[::-1] and all(
-        not powers[s - 2 * i].is_zero()
-        and known.setdefault((s - 2 * i, i), exact_rank(a.mult_map_matrix(powers[s - 2 * i], i))) == h[i]
-        for i in range(s // 2 + 1)
-    )
-    profiles = [_profile_for_power(a, powers[r], 1, r, central, known) for r in range(1, len(powers))]
-    return all(p.is_maximal for p in profiles), profiles
+    powers = list(accumulate([l] * max(s, 1), a.multiply, initial=a.one()))
+    facts = (set(), set())  # shared by all powers, longest first
+    profiles = [_profile_for_power(a, powers[r], 1, r, facts=facts) for r in range(len(powers) - 1, 0, -1)]
+    return all(p.is_maximal for p in profiles), profiles[::-1]
 
 
 def _central_maps_bijective_on_image(a: GradedAlgebra, l: HomogeneousElement) -> bool:

@@ -76,7 +76,7 @@ def _parse_polynomial(text: str, line: int, known: set[str]) -> list[Term]:
             if var not in known:
                 raise SpecError(line, f"unknown variable {var!r}")
             exps[var] = exps.get(var, 0) + exp
-        key = tuple(sorted(exps.items()))
+        key = tuple(sorted((v, e) for v, e in exps.items() if e))  # x^0 is 1
         acc[key] = acc.get(key, 0) + coeff
     return [(acc[key], key) for key in sorted(acc) if acc[key] != 0]
 

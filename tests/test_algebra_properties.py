@@ -2,10 +2,11 @@
 strong Lefschetz check on random towers: pure and general monic extensions,
 quotients, a quotient of a quotient and an extension of a quotient, over QQ,
 GF(2), GF(3) and GF(32003), GF(3037000493) for the tables and GF(4294967291)
-for quotients without them."""
+for algebras without them."""
 
 import math
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,13 +18,17 @@ from lefschetz.algebra import (
     monomial_complete_intersection,
     trivial_algebra,
 )
+from lefschetz import certify
 from lefschetz.certify import _profile_for_power, is_lefschetz, is_strong_lefschetz
 from lefschetz.fields import GF, QQ, PrimeField
 from lefschetz.linalg import Matrix
 
 import indep
+from test_certify import exact_grid, exact_profile
 
 FIELDS = (QQ, GF(2), GF(3), GF(32003))
+# GF(4294967291) is above _NP_MAX_P: no tables and no image, every rank exact.
+ALL_FIELDS = FIELDS + (GF(4294967291),)
 # Every field on the compiled path: 3037000493 is the largest prime <= _NP_MAX_P.
 TABLE_FIELDS = FIELDS[1:] + (GF(3037000493),)
 KINDS = ("pure", "general", "quotient", "quotient of quotient", "extension of quotient")
@@ -63,6 +68,12 @@ def quotient(alg, rng):
     if not degrees:
         return None
     return alg.quotient(nonzero_element(alg, rng.choice(degrees), rng))
+
+
+def with_quotients(stages, rng):
+    """The tower's algebras and a quotient of each by a random form, whose
+    Hilbert function is mostly not symmetric."""
+    return stages + [q for q in (quotient(alg, rng) for alg in stages) if q is not None]
 
 
 @st.composite
@@ -140,7 +151,7 @@ def test_quotient_products_are_projected_parent_products(data):
 
 
 @BUDGET
-@given(towers(fields=FIELDS + (GF(4294967291),), kinds=QUOTIENT_KINDS))
+@given(towers(fields=ALL_FIELDS, kinds=QUOTIENT_KINDS))
 def test_projections_split_the_lifts_in_every_degree(data):
     stages, rng = data
     for b in stages:
@@ -220,27 +231,60 @@ def mci_caps(alg):
 
 
 @BUDGET
-@given(towers())
+@given(towers(fields=ALL_FIELDS))
 def test_strong_check_equals_full_rank_grid(data):
-    # Coefficients in -3..3 also give non-Lefschetz forms: zero, a single
-    # variable, and forms that fail in small characteristic.
+    # Rows that longer powers or the row before decide are not ranked; every
+    # profile still equals plain exact elimination of every map.  Coefficients
+    # in -3..3, sparse forms and single basis elements also give forms that
+    # fail; quotients by random forms give non-symmetric Hilbert functions.
     stages, rng = data
-    for alg in stages:
-        l = random_element(alg, 1, rng)
-        ok, profiles = is_strong_lefschetz(alg, l)
-        grid = [_profile_for_power(alg, l**r, 1, r) for r in range(1, max(alg.sigma, 1) + 1)]
-        assert profiles == grid
-        assert ok == all(p.is_maximal for p in grid)
-        caps = mci_caps(alg)
-        if not caps or not isinstance(alg.field, PrimeField):
-            continue
-        p = alg.field.p
-        exponents = [indep.label_to_exponents(label, len(caps)) for label in alg.basis_labels(1)]
-        ldict = {e: int(c) % p for e, c in zip(exponents, l.coeffs) if int(c) % p}
-        for profile in profiles:
-            lr = indep.poly_power(caps, ldict, profile.power, p)
-            for row in profile.rows:
-                assert row.rank == indep.rank_mod(indep.mult_matrix(caps, lr, profile.power, row.i, p), p)
+    for alg in with_quotients(stages, rng):
+        f, n = alg.field, alg.dim(1)
+        sparse = alg.element(1, [f.of(rng.choice((0, 0, 1, -1, 2))) for _ in range(n)])
+        for l in [random_element(alg, 1, rng), sparse] + [basis_vector(alg, 1, b) for b in range(n)]:
+            ok, profiles = is_strong_lefschetz(alg, l)
+            assert profiles == exact_grid(alg, l)
+            assert ok == all(p.is_maximal for p in profiles)
+            caps = mci_caps(alg)
+            if not caps or not isinstance(alg.field, PrimeField):
+                continue
+            p = alg.field.p
+            exponents = [indep.label_to_exponents(label, len(caps)) for label in alg.basis_labels(1)]
+            ldict = {e: int(c) % p for e, c in zip(exponents, l.coeffs) if int(c) % p}
+            for profile in profiles:
+                lr = indep.poly_power(caps, ldict, profile.power, p)
+                for row in profile.rows:
+                    assert row.rank == indep.rank_mod(indep.mult_matrix(caps, lr, profile.power, row.i, p), p)
+
+
+@BUDGET
+@given(towers(fields=ALL_FIELDS))
+def test_maximal_rank_profiles_are_exact(data):
+    stages, rng = data
+    seen, profile_for_power = [], _profile_for_power
+
+    def recording(a, w, k, r, *args):
+        profile = profile_for_power(a, w, k, r, *args)
+        seen.append((a, w, profile))
+        return profile
+
+    with mock.patch.object(certify, "_profile_for_power", recording):
+        for alg in with_quotients(stages, rng):
+            certify.maximal_rank_property(alg, trials=2, seed=rng.randint(0, 99))
+    for a, w, profile in seen:
+        assert profile == exact_profile(a, w, 1)
+
+
+@BUDGET
+@given(towers(fields=ALL_FIELDS))
+def test_algebras_are_generated_in_degree_one(data):
+    # The premise of deriving w onto A_(i+deg w) from w onto A_(i-1+deg w):
+    # A_(t+1) is spanned by the products g*b of generators g and a basis b of A_t.
+    stages, rng = data
+    for alg in with_quotients(stages, rng):
+        for t in range(alg.sigma):
+            products = [(g * basis_vector(alg, t, b)).coeffs for g in alg.generators() for b in range(alg.dim(t))]
+            assert Matrix.from_rows(alg.field, products).rank() == alg.dim(t + 1)
 
 
 @BUDGET

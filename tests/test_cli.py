@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from lefschetz import cli
+from lefschetz import certify, cli
 from lefschetz.cli import main
 from lefschetz.report import Report, emit_report
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 @pytest.fixture
@@ -55,6 +58,21 @@ class TestCheckCommand:
         assert main(["check", stanley_spec, "--mode", "maxrank", "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "maxrank_degree_1" in out and "maxrank_degree_2" in out
+
+    def test_strong_ranks_only_the_maps_no_longer_map_decides(self, capsys, monkeypatch):
+        # The 512-dim quotient's Hilbert function 1 5 14 ... 70 46 16 is not
+        # symmetric; of the 55 maps of the element that certifies it, longer
+        # powers and the row before decide 45.
+        ranked, rank = [], certify._rank
+
+        def counting(a, w, image, i, bound):
+            ranked.append((w.degree, i))
+            return rank(a, w, image, i, bound)
+
+        monkeypatch.setattr(certify, "_rank", counting)
+        assert main(["check", str(SPECS / "quotient512.spec"), "--mode", "strong", "--seed", "0"]) == 0
+        assert "certified_success" in capsys.readouterr().out
+        assert len(ranked) == 10
 
     def test_deterministic_modulo_timing(self, stanley_spec, capsys):
         def run():

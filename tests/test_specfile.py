@@ -157,3 +157,14 @@ class TestRoundTrip:
         a = parse_spec("field rational\nextend u : u^2\nextend y : y^2 + u*y + u*y\n")
         b = parse_spec("field rational\nextend u : u^2\nextend y : y^2 + 2*u*y\n")
         assert a.fingerprint() == b.fingerprint()
+
+    def test_zero_exponent_is_one(self):
+        # x^0*y is the monomial y: same canonical text and fingerprint, and the
+        # canonical text parses again (it once rendered x^0 as x).
+        base = "field rational\nextend x : x^2\nextend y : y^2\n"
+        a = parse_spec(base + "quotient : x^0*y + x\n")
+        b = parse_spec(base + "quotient : y + x\n")
+        assert a.canonical_text() == b.canonical_text()
+        assert a.fingerprint() == b.fingerprint()
+        assert parse_spec(a.canonical_text()).fingerprint() == a.fingerprint()
+        assert a.build().dims == b.build().dims
