@@ -7,8 +7,9 @@ matrix is reduced by Bareiss's rule, so `Fraction`s appear only when the
 reduced echelon form is divided out at the end.  Determinants come from the
 same integer elimination over every field.  `Matrix` products use exact field
 arithmetic, and mod-p products of int64 arrays are `_matmul_modp`.  Echelon
-forms over GF(p) use int64 arrays mod p, reduced only as often as overflow
-requires (larger primes: the generic routine); a rank mod p is a forward pass.
+forms over GF(p) are one routine on arrays mod p, reduced only as often as
+overflow requires: int64 arrays up to `_NP_MAX_P`, and above it arrays of
+Python ints, reduced at every step; a rank mod p is a forward pass.
 """
 
 from __future__ import annotations
@@ -123,7 +124,9 @@ class Matrix:
         return tuple(sm(mul(a, b) for a, b in zip(row, vec)) for row in self.rows)
 
     def _np(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
+        """The entries as an int64 array, or above `_NP_MAX_P` as Python ints."""
+        dtype = np.int64 if self.field.p <= _NP_MAX_P else object
+        return np.array(self.rows, dtype=dtype).reshape(self.nrows, self.ncols)
 
     # -- elimination --------------------------------------------------------
 
@@ -135,20 +138,18 @@ class Matrix:
         """
         if self._rref_cache is None:
             f = self.field
-            if isinstance(f, PrimeField) and f.p <= _NP_MAX_P:
+            if isinstance(f, PrimeField):
                 arr, pivots = _rref_modp(self._np(), f.p)
                 rows = tuple(map(tuple, arr.tolist()))
-            elif f == QQ:
+            else:
                 m, _ = _integer_rows(f, self.rows)
                 pivots, _, d = _bareiss(m, self.ncols, full=True)
                 rows = tuple(tuple(Fraction(x, d) if x else f.zero for x in row) for row in m)
-            else:
-                rows, pivots = _rref_generic(f, self.rows, self.nrows, self.ncols)
             self._rref_cache = (Matrix(f, self.nrows, self.ncols, rows), tuple(pivots))
         return self._rref_cache
 
     def rank(self) -> int:
-        if self._rref_cache is None and isinstance(self.field, PrimeField) and self.field.p <= _NP_MAX_P:
+        if self._rref_cache is None and isinstance(self.field, PrimeField):
             return len(_rref_modp(self._np(), self.field.p, full=False)[1])  # the forward pass alone
         return len(self.rref()[1])
 
@@ -192,12 +193,13 @@ def _integer_rows(f: Field, rows):
 
 def _bareiss(m: list, ncols: int, full: bool):
     """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the
-    integer rows m, in place, with the pivots of `_rref_generic`.  With pivot
-    d, each other row becomes (d*row - a*pivot_row) // prev, a its entry in
-    the pivot column and prev the previous pivot: an exact division.  With
-    `full` the rows above the pivot are cleared too, which leaves every pivot
-    equal to the last.  Returns the pivot columns, the sign of the swaps and
-    the last pivot (1 if none): the determinant of a square full-rank m."""
+    integer rows m, in place.  Each pivot is in the leftmost column left, in
+    the first nonzero row from the top.  With pivot d, each other row becomes
+    (d*row - a*pivot_row) // prev, a its entry in the pivot column and prev
+    the previous pivot: an exact division.  With `full` the rows above the
+    pivot are cleared too, which leaves every pivot equal to the last.
+    Returns the pivot columns, the sign of the swaps and the last pivot (1 if
+    none): the determinant of a square full-rank m."""
     pivots, sign, prev = [], 1, 1
     for c in range(ncols):
         r = len(pivots)
@@ -218,31 +220,14 @@ def _bareiss(m: list, ncols: int, full: bool):
     return pivots, sign, prev
 
 
-def _rref_generic(f: Field, rows, nrows: int, ncols: int):
-    m = [list(r) for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        i = next((i for i in range(r, nrows) if not f.is_zero(m[i][c])), None)
-        if i is None:
-            continue
-        m[r], m[i] = m[i], m[r]
-        inv_p = f.inv(m[r][c])
-        m[r] = [f.mul(inv_p, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and not f.is_zero(m[i][c]):
-                factor = m[i][c]
-                m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return tuple(tuple(row) for row in m), pivots
-
-
 def _rref_modp(a: np.ndarray, p: int, full: bool = True):
-    """Reduced echelon form of a mod p and the pivot columns of `_rref_generic`;
-    without `full`, None and the pivots.  A forward step reduces its pivot column
-    and row and subtracts at most (p-1)^2 from the trailing block, reduced every
-    (2^63-1)//(p-1)^2 - 1 steps and at least every step (Dumas, Giorgi, Pernet,
-    ACM TOMS 2008).  The back pass clears above each pivot on the pivot rows, by the same rule."""
+    """Reduced echelon form of a mod p and its pivot columns; without `full`,
+    None and the pivots.  a is int64, or of Python ints above `_NP_MAX_P`.
+    Each pivot is in the leftmost column left, in the first nonzero row from
+    the top.  A forward step reduces its pivot column and row and subtracts at
+    most (p-1)^2 from the trailing block, reduced every (2^63-1)//(p-1)^2 - 1
+    steps and at least every step (Dumas, Giorgi, Pernet, ACM TOMS 2008).  The
+    back pass clears above each pivot on the pivot rows, by the same rule."""
     a, out = a % p, np.zeros_like(a) if full else None
     (nrows, ncols), pivots = a.shape, []
     budget = max(1, (2**63 - 1) // (p - 1) ** 2 - 1)

@@ -11,10 +11,12 @@ Grammar (one directive per line; blank lines and `#` comments are ignored):
 Polynomials use integer coefficients, `*` products, `^` powers and `+`/`-`;
 no parentheses.  Every extension relation must be monic in its new variable
 with homogeneous lower terms; quotient forms must be homogeneous in the
-variables already introduced.  A form is read in the algebra built so far: a
-basis monomial of it is read as its coordinate, and any other monomial is
-multiplied out from the generators.  The constructed algebra is a pure
-function of the file: random quotient forms carry their own seeds.
+variables already introduced.  The product of the extension degrees, the
+multiplicity before any quotient, may not exceed `MAX_MULTIPLICITY`.  A form
+is read in the algebra built so far: a basis monomial of it is read as its
+coordinate, and any other monomial is multiplied out from the generators.
+The constructed algebra is a pure function of the file: random quotient forms
+carry their own seeds.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class SpecError(ValueError):
 _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?$")
 _RANDOM_RE = re.compile(r"^random\s+degree=(\d+)\s+seed=(-?\d+)$")
+
+# Cap on the product of the extension degrees.  Quotients only shrink the
+# algebra, so this bounds the dimension of everything a spec builds.
+MAX_MULTIPLICITY = 2**16
 
 
 def _parse_polynomial(text: str, line: int, known: set[str]) -> list[Term]:
@@ -184,6 +190,7 @@ def parse_spec(text: str) -> AlgebraSpec:
     field_seen = False
     steps: list[Step] = []
     known: set[str] = set()
+    multiplicity = 1
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -219,6 +226,9 @@ def parse_spec(text: str) -> AlgebraSpec:
                 raise SpecError(line_no, f"variable {var!r} already introduced")
             terms = _parse_polynomial(poly_text, line_no, known | {var})
             _validate_extension(terms, var, line_no)
+            multiplicity *= _term_degree(terms[0])
+            if multiplicity > MAX_MULTIPLICITY:
+                raise SpecError(line_no, f"multiplicity {multiplicity} exceeds the cap of {MAX_MULTIPLICITY}")
             steps.append(ExtendStep(var, tuple(terms), line_no))
             known.add(var)
             continue

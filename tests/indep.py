@@ -1,6 +1,7 @@
 """Independent reference model for monomial complete intersections: plain
-dict-based polynomial arithmetic over exponent vectors and a no-numpy row
-reduction mod p.  Used as an oracle against the package implementation."""
+dict-based polynomial arithmetic over exponent vectors, a no-numpy row
+reduction mod p, and Gauss-Jordan elimination by a field's own operations.
+Used as an oracle against the package implementation."""
 
 import itertools
 
@@ -61,6 +62,28 @@ def rank_mod(rows, p):
         if rank == nrows:
             break
     return rank
+
+
+def rref_generic(f, rows, nrows, ncols):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan elimination
+    with the field f's scalar operations: pivot in the leftmost column left,
+    first nonzero row from the top."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, nrows) if not f.is_zero(m[i][c])), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv_p = f.inv(m[r][c])
+        m[r] = [f.mul(inv_p, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and not f.is_zero(m[i][c]):
+                factor = m[i][c]
+                m[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return tuple(tuple(row) for row in m), pivots
 
 
 def hstack(a, b):

@@ -117,6 +117,14 @@ class TestExitCodes:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert "line 2" in err and str(unbuildable) in err, err
 
+    def test_multiplicity_above_the_cap_is_two(self, tmp_path, capsys):
+        # Refused at parse time: without the cap this builds a 65537-dim algebra.
+        huge = tmp_path / "huge.spec"
+        huge.write_text("field rational\nextend x : x^65537\n")
+        assert main(["hilbert", str(huge)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {huge}: line 2: ") and err.count("\n") == 1, err
+
     def test_missing_file_is_two(self, stanley_spec, tmp_path, capsys):
         latin1 = tmp_path / "latin1.spec"
         latin1.write_bytes("# caf\xe9\nfield rational\nextend x : x^2\n".encode("latin-1"))

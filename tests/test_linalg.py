@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import indep
 from lefschetz.algebra import IMAGE_PRIME
 from lefschetz.fields import GF, QQ
 from lefschetz.linalg import (
     Matrix,
     _matmul_modp,
-    _rref_generic,
     _rref_modp,
     anti_triangularize,
     cauchy_determinant,
@@ -67,15 +67,15 @@ class TestRref:
 
     def test_numpy_path_matches_generic_elimination(self):
         rng = random.Random(11)
-        # 3037000493 is the largest prime <= _NP_MAX_P.
-        for p in (32003, 3037000493):
+        # 3037000493 is the largest prime <= _NP_MAX_P; 4294967291 is above it.
+        for p in (32003, 3037000493, 4294967291):
             f = GF(p)
             for _ in range(25):
                 nr, nc = rng.randint(1, 6), rng.randint(1, 6)
                 rows = tuple(tuple(rng.randrange(p) for _ in range(nc)) for _ in range(nr))
                 m = Matrix(f, nr, nc, rows)
                 red, pivots = m.rref()
-                rows_generic, pivots_generic = _rref_generic(f, rows, nr, nc)
+                rows_generic, pivots_generic = indep.rref_generic(f, rows, nr, nc)
                 assert red.rows == rows_generic and pivots == tuple(pivots_generic)
 
 
@@ -334,7 +334,7 @@ def leibniz_det(m):
 @given(matrices(QQ))
 def test_rational_rref_matches_generic_elimination(m):
     red, pivots = m.rref()
-    rows_generic, pivots_generic = _rref_generic(QQ, m.rows, m.nrows, m.ncols)
+    rows_generic, pivots_generic = indep.rref_generic(QQ, m.rows, m.nrows, m.ncols)
     assert red.rows == rows_generic and pivots == tuple(pivots_generic)
     basis = m.kernel_basis()
     assert len(basis) == m.ncols - len(pivots)
@@ -368,8 +368,9 @@ def test_det_matches_leibniz(field):
 
 # Every kind of budget: GF(2), GF(3) and GF(32003) never reduce the trailing
 # block of a small matrix, IMAGE_PRIME does every 127 steps, and 2^31-1 and
-# the largest prime <= _NP_MAX_P at every step.
-MODP_FIELDS = (GF(2), GF(3), GF(32003), GF(IMAGE_PRIME), GF(2147483647), GF(3037000493))
+# the largest prime <= _NP_MAX_P at every step, on int64 arrays.  4294967291
+# is above _NP_MAX_P: arrays of Python ints, reduced at every step.
+MODP_FIELDS = (GF(2), GF(3), GF(32003), GF(IMAGE_PRIME), GF(2147483647), GF(3037000493), GF(4294967291))
 SHAPES = ("tall", "wide", "square", "one row", "one column")
 
 
@@ -401,12 +402,13 @@ def test_modular_elimination_matches_generic_elimination(field):
     @BUDGET
     @given(modp_matrices(field))
     def check(m):
-        rows, pivots = _rref_generic(field, m.rows, m.nrows, m.ncols)
+        rows, pivots = indep.rref_generic(field, m.rows, m.nrows, m.ncols)
         red, full_pivots = _rref_modp(m._np(), field.p)
         none, rank_pivots = _rref_modp(m._np(), field.p, full=False)
         assert full_pivots == rank_pivots == pivots and none is None
         assert tuple(map(tuple, red.tolist())) == rows
         assert m.rank() == len(pivots)
+        assert m.rref() == (Matrix(field, m.nrows, m.ncols, rows), tuple(pivots))
 
     check()
 

@@ -4,7 +4,7 @@ import pytest
 
 from lefschetz.algebra import ExtensionAlgebra, GradedAlgebra
 from lefschetz.fields import GF, QQ
-from lefschetz.specfile import AlgebraSpec, SpecError, _element_from_terms, parse_spec
+from lefschetz.specfile import MAX_MULTIPLICITY, AlgebraSpec, SpecError, _element_from_terms, parse_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -125,6 +125,21 @@ class TestParseErrors:
         with pytest.raises(SpecError) as err:
             parse_spec("field rational\nfrobnicate\n")
         assert err.value.line == 2
+
+    def test_multiplicity_above_the_cap(self):
+        # The cap is checked as the relations are read, before any algebra is built.
+        for text, line in (
+            ("field rational\nextend x : x^65537\n", 2),
+            ("field prime 7\nextend x : x^256\n# 256 * 257 = 65792\nextend y : y^257 + x*y^256\n", 4),
+        ):
+            with pytest.raises(SpecError) as err:
+                parse_spec(text)
+            assert err.value.line == line and "exceeds the cap of 65536" in str(err.value)
+
+    def test_multiplicity_at_the_cap_parses(self):
+        assert MAX_MULTIPLICITY == 2**16
+        for text in ("field rational\nextend x : x^65536\n", "field rational\nextend x : x^256\nextend y : y^256\n"):
+            assert len(parse_spec(text).steps) == text.count("extend")
 
     def test_zero_quotient_form(self):
         with pytest.raises(SpecError):
