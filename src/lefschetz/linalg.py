@@ -225,12 +225,27 @@ def _rref_modp(a: np.ndarray, p: int, full: bool = True):
     None and the pivots.  a is int64, or of Python ints above `_NP_MAX_P`.
     Each pivot is in the leftmost column left, in the first nonzero row from
     the top.  A forward step reduces its pivot column and row and subtracts at
-    most (p-1)^2 from the trailing block, reduced every (2^63-1)//(p-1)^2 - 1
-    steps and at least every step (Dumas, Giorgi, Pernet, ACM TOMS 2008).  The
-    back pass clears above each pivot on the pivot rows, by the same rule."""
+    most (p-1)^2 from the rows below with a nonzero entry in the pivot column,
+    reduced every (2^63-1)//(p-1)^2 - 1 steps, or at every step the rows changed
+    (Dumas, Giorgi, Pernet, ACM TOMS 2008).  The back pass clears above each
+    pivot on the pivot rows, by the same rule."""
     a, out = a % p, np.zeros_like(a) if full else None
     (nrows, ncols), pivots = a.shape, []
     budget = max(1, (2**63 - 1) // (p - 1) ** 2 - 1)
+
+    def clear(block, col, row, step):
+        """block[i] -= col[i] * row for every row i; a large block where col is
+        nonzero on under half the rows changes only those."""
+        rows = slice(None)
+        if block.size > 1024:  # below it numpy's cost per call outweighs the rows saved
+            nz = col.nonzero()[0]
+            rows = nz if 2 * nz.size < col.size else rows
+        block[rows] -= col[rows, None] * row
+        if budget == 1:  # the rows not changed are reduced already
+            block[rows] %= p
+        elif step % budget == 0:
+            block %= p
+
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -246,16 +261,12 @@ def _rref_modp(a: np.ndarray, p: int, full: bool = True):
         row = a[r + i, c + 1:] % p * pow(int(col[i]), -1, p) % p
         if i:  # row r moves to r + i; the pivot row is kept in row
             a[r + i, c + 1:], col[i] = a[r, c + 1:], col[0]
-        a[r + 1:, c + 1:] -= col[1:, None] * row
-        if len(pivots) % budget == 0:
-            a[r + 1:, c + 1:] %= p
+        clear(a[r + 1:, c + 1:], col[1:], row, len(pivots))
         if full:
             out[r, c], out[r, c + 1:] = 1, row
     for k, c in reversed(list(enumerate(pivots)) if full else []):  # column c of the rows above k is reduced
         out[k, c:] %= p
-        out[:k, c:] -= out[:k, c, None] * out[k, c:]
-        if (len(pivots) - k) % budget == 0:
-            out[:k] %= p
+        clear(out[:k, c:], out[:k, c], out[k, c:], len(pivots) - k)
     return out, pivots
 
 

@@ -11,12 +11,12 @@ Grammar (one directive per line; blank lines and `#` comments are ignored):
 Polynomials use integer coefficients, `*` products, `^` powers and `+`/`-`;
 no parentheses.  Every extension relation must be monic in its new variable
 with homogeneous lower terms; quotient forms must be homogeneous in the
-variables already introduced.  The product of the extension degrees, the
-multiplicity before any quotient, may not exceed `MAX_MULTIPLICITY`.  A form
-is read in the algebra built so far: a basis monomial of it is read as its
-coordinate, and any other monomial is multiplied out from the generators.
-The constructed algebra is a pure function of the file: random quotient forms
-carry their own seeds.
+variables already introduced.  Quotients only lower the multiplicity and
+socle degree, so their values before any, the product of the extension
+degrees and the sum of the degrees less one, are capped.  A form is read in
+the algebra built so far: a basis monomial of it is read as its coordinate,
+and any other monomial is multiplied out from the generators.  The algebra
+is a pure function of the file: random quotient forms carry their own seeds.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ _VAR_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?$")
 _RANDOM_RE = re.compile(r"^random\s+degree=(\d+)\s+seed=(-?\d+)$")
 
-# Cap on the product of the extension degrees.  Quotients only shrink the
-# algebra, so this bounds the dimension of everything a spec builds.
-MAX_MULTIPLICITY = 2**16
+# The caps bound a socle's generator stacks and a strong check's rows (about
+# the socle degree squared over two); at both, every command fits in 1.5 GB.
+MAX_MULTIPLICITY = 2**12
+MAX_SOCLE_DEGREE = 2**9
 
 
 def _parse_polynomial(text: str, line: int, known: set[str]) -> list[Term]:
@@ -72,7 +73,7 @@ def _parse_polynomial(text: str, line: int, known: set[str]) -> list[Term]:
         for factor in body.split("*"):
             if not factor:
                 raise SpecError(line, "empty factor (doubled '*'?)")
-            if factor.isdigit():
+            if factor.isdecimal():  # what int() reads: isdigit() would take '²'
                 coeff *= int(factor)
                 continue
             m = _FACTOR_RE.match(factor)
@@ -190,11 +191,13 @@ def parse_spec(text: str) -> AlgebraSpec:
     field_seen = False
     steps: list[Step] = []
     known: set[str] = set()
-    multiplicity = 1
+    multiplicity, socle_degree = 1, 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if re.search(r"(?<!\d)\d{4301}", line):  # int() refuses longer runs; one try per run
+            raise SpecError(line_no, "integer of more than 4300 digits")
         if line.startswith("field"):
             if field_seen:
                 raise SpecError(line_no, "duplicate field declaration")
@@ -227,8 +230,11 @@ def parse_spec(text: str) -> AlgebraSpec:
             terms = _parse_polynomial(poly_text, line_no, known | {var})
             _validate_extension(terms, var, line_no)
             multiplicity *= _term_degree(terms[0])
+            socle_degree += _term_degree(terms[0]) - 1
             if multiplicity > MAX_MULTIPLICITY:
                 raise SpecError(line_no, f"multiplicity {multiplicity} exceeds the cap of {MAX_MULTIPLICITY}")
+            if socle_degree > MAX_SOCLE_DEGREE:
+                raise SpecError(line_no, f"socle degree {socle_degree} exceeds the cap of {MAX_SOCLE_DEGREE}")
             steps.append(ExtendStep(var, tuple(terms), line_no))
             known.add(var)
             continue
@@ -268,14 +274,9 @@ def _validate_extension(terms: list[Term], var: str, line: int) -> None:
     d = degrees.pop()
     if d < 1:
         raise SpecError(line, "relation must have degree >= 1")
-    leading = [(c, exps) for c, exps in terms if dict(exps).get(var, 0) == d]
-    if not leading:
-        raise SpecError(line, f"relation is not monic in {var}: no {var}^{d} term")
-    if len(leading) > 1 or leading[0][1] != ((var, d),) or leading[0][0] != 1:
+    # Exponents are positive and sum to d, so no term passes var^d.
+    if [(c, exps) for c, exps in terms if dict(exps).get(var, 0) == d] != [(1, ((var, d),))]:
         raise SpecError(line, f"relation is not monic in {var}: leading term must be {var}^{d} with coefficient 1")
-    for _, exps in terms:
-        if dict(exps).get(var, 0) > d:
-            raise SpecError(line, f"term exceeds {var}^{d}")
 
 
 def _element_from_terms(algebra: GradedAlgebra, terms: tuple[Term, ...], line: int) -> HomogeneousElement:

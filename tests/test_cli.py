@@ -118,12 +118,13 @@ class TestExitCodes:
             assert "line 2" in err and str(unbuildable) in err, err
 
     def test_multiplicity_above_the_cap_is_two(self, tmp_path, capsys):
-        # Refused at parse time: without the cap this builds a 65537-dim algebra.
-        huge = tmp_path / "huge.spec"
-        huge.write_text("field rational\nextend x : x^65537\n")
-        assert main(["hilbert", str(huge)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {huge}: line 2: ") and err.count("\n") == 1, err
+        # Refused at parse time, as is an exponent past int()'s 4300 digits.
+        for name, relation in (("huge", "x^4097"), ("digits", "x^" + "1" * 5000)):
+            spec = tmp_path / f"{name}.spec"
+            spec.write_text(f"field rational\nextend x : {relation}\n")
+            assert main(["hilbert", str(spec)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {spec}: line 2: ") and err.count("\n") == 1, err
 
     def test_missing_file_is_two(self, stanley_spec, tmp_path, capsys):
         latin1 = tmp_path / "latin1.spec"

@@ -10,6 +10,7 @@ import indep
 from lefschetz.algebra import IMAGE_PRIME
 from lefschetz.fields import GF, QQ
 from lefschetz.linalg import (
+    _NP_MAX_P,
     Matrix,
     _matmul_modp,
     _rref_modp,
@@ -70,9 +71,11 @@ class TestRref:
         # 3037000493 is the largest prime <= _NP_MAX_P; 4294967291 is above it.
         for p in (32003, 3037000493, 4294967291):
             f = GF(p)
-            for _ in range(25):
-                nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-                rows = tuple(tuple(rng.randrange(p) for _ in range(nc)) for _ in range(nr))
+            # 25 small dense matrices, then 4 sparse ones whose trailing blocks
+            # pass 1024 entries, where a step gathers the rows it changes.
+            for size, density in [((1, 6), 1)] * 25 + [((40, 48), 0.08)] * 4:
+                nr, nc = rng.randint(*size), rng.randint(*size)
+                rows = tuple(tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(nc)) for _ in range(nr))
                 m = Matrix(f, nr, nc, rows)
                 red, pivots = m.rref()
                 rows_generic, pivots_generic = indep.rref_generic(f, rows, nr, nc)
@@ -413,15 +416,19 @@ def test_modular_elimination_matches_generic_elimination(field):
     check()
 
 
-def worst_case_elimination(n, p, extra_rows=3, extra_cols=2):
+def worst_case_elimination(n, p, extra_rows=3, extra_cols=2, skip=None):
     """L U [I | X] mod p, L an (n + extra_rows) x n unit lower triangular and U an
     n x n unit upper triangular matrix, with -1 = p-1 for every other entry of L,
     U and X.  Every multiplier of the forward pass is p-1 and every pivot row is
     a row of U [I | X], so each step subtracts (p-1)^2 from every trailing entry
     of the first n columns.  The reduced echelon form is [I | X] above zero rows,
     so each back step subtracts (p-1)^2 from the last extra_cols columns of
-    every row above it.  Returns the matrix and its reduced echelon form."""
+    every row above it.  With skip, column skip of L is zero below the
+    diagonal, so step skip + 1 changes no row.  Returns the matrix and its
+    reduced echelon form."""
     low = np.tril(np.full((n + extra_rows, n), -1), -1) + np.eye(n + extra_rows, n, dtype=np.int64)
+    if skip is not None:
+        low[skip + 1:, skip] = 0
     up = np.triu(np.full((n, n), -1), 1) + np.eye(n, dtype=np.int64)
     rref = np.hstack([np.eye(n, dtype=np.int64), np.full((n, extra_cols), -1)])
     a = (low @ up @ rref) % p  # entries at most n^2 in size: exact in int64
@@ -441,3 +448,30 @@ def test_modular_elimination_worst_case_entries(p, n):
     assert pivots == list(range(n)) and (red == expected).all()
     assert _rref_modp(a, p, full=False)[1] == pivots
     assert Matrix(GF(p), *a.shape, tuple(map(tuple, a.tolist()))).rank() == n
+
+
+def test_modular_elimination_reduces_the_rows_a_step_skips():
+    # At the image prime the block is reduced every 127 steps.  Step 127
+    # changes no row, so it gathers none; yet every row below has had 126
+    # subtractions of (p-1)^2 and gets 126 more before the next reduction.
+    a, expected = worst_case_elimination(300, IMAGE_PRIME, skip=126)
+    red, pivots = _rref_modp(a, IMAGE_PRIME)
+    assert pivots == list(range(300)) and (red == expected).all()
+
+
+@pytest.mark.parametrize("p, n", [(IMAGE_PRIME, 300), (2147483647, 24), (3037000493, 24), (4294967291, 24)])
+def test_modular_elimination_worst_case_entries_on_some_rows(p, n):
+    # Two worst cases on the diagonal: each step, forward or back, changes the
+    # rows of one block only, fewer than half the rows, so in a trailing block
+    # of more than 1024 entries only those rows are changed, and reduced by
+    # the same budget.
+    w, rref = worst_case_elimination(n, p)
+    zero = np.zeros_like(w)
+    a = np.block([[w, zero], [zero, w]])
+    top = np.block([[rref[:n], zero[:n]], [zero[:n], rref[:n]]])
+    expected = np.vstack([top, np.zeros((a.shape[0] - 2 * n, a.shape[1]), dtype=np.int64)])
+    pivots = [c + b * w.shape[1] for b in (0, 1) for c in range(n)]
+    a = a.astype(object) if p > _NP_MAX_P else a
+    red, found = _rref_modp(a, p)
+    assert found == pivots and (red == expected).all()
+    assert _rref_modp(a, p, full=False)[1] == pivots

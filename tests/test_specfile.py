@@ -4,7 +4,7 @@ import pytest
 
 from lefschetz.algebra import ExtensionAlgebra, GradedAlgebra
 from lefschetz.fields import GF, QQ
-from lefschetz.specfile import MAX_MULTIPLICITY, AlgebraSpec, SpecError, _element_from_terms, parse_spec
+from lefschetz.specfile import MAX_MULTIPLICITY, MAX_SOCLE_DEGREE, AlgebraSpec, SpecError, _element_from_terms, parse_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -127,19 +127,44 @@ class TestParseErrors:
         assert err.value.line == 2
 
     def test_multiplicity_above_the_cap(self):
-        # The cap is checked as the relations are read, before any algebra is built.
-        for text, line in (
-            ("field rational\nextend x : x^65537\n", 2),
-            ("field prime 7\nextend x : x^256\n# 256 * 257 = 65792\nextend y : y^257 + x*y^256\n", 4),
+        # The caps are checked as the relations are read, before any algebra is built.
+        for text, line, message in (
+            ("field rational\nextend x : x^4097\n", 2, "multiplicity 4097 exceeds the cap of 4096"),
+            ("field prime 7\nextend x : x^64\n# 64 * 65 = 4160\nextend y : y^65 + x*y^64\n", 4,
+             "multiplicity 4160 exceeds the cap of 4096"),
+            ("field rational\nextend x : x^514\n", 2, "socle degree 513 exceeds the cap of 512"),
+            ("field rational\nextend x : x^513\nextend y : y^2\n", 3, "socle degree 513 exceeds the cap of 512"),
         ):
             with pytest.raises(SpecError) as err:
                 parse_spec(text)
-            assert err.value.line == line and "exceeds the cap of 65536" in str(err.value)
+            assert err.value.line == line and message in str(err.value)
 
     def test_multiplicity_at_the_cap_parses(self):
-        assert MAX_MULTIPLICITY == 2**16
-        for text in ("field rational\nextend x : x^65536\n", "field rational\nextend x : x^256\nextend y : y^256\n"):
+        assert (MAX_MULTIPLICITY, MAX_SOCLE_DEGREE) == (2**12, 2**9)
+        for text in (
+            "field rational\nextend x : x^64\nextend y : y^64\n",
+            "field rational\nextend x : x^513\n",
+            "field rational\nextend x : x^512\nextend y : y^2\n",
+        ):
             assert len(parse_spec(text).steps) == text.count("extend")
+
+    def test_integers_past_the_digit_limit(self):
+        # int() refuses more than 4300 digits with a plain ValueError.
+        digits = "1" * 5000
+        for text, line in (
+            (f"field rational\nextend x : x^{digits}\n", 2),
+            (f"field rational\nextend x : x^2\n\nquotient : {digits}*x\n", 4),
+            (f"field rational\nextend x : x^2\nquotient random degree=1 seed={digits}\n", 3),
+        ):
+            with pytest.raises(SpecError) as err:
+                parse_spec(text)
+            assert err.value.line == line and "integer of more than 4300 digits" in str(err.value)
+
+    def test_superscript_digit_is_a_bad_factor(self):
+        # '²'.isdigit() holds but int('²') raises a plain ValueError.
+        with pytest.raises(SpecError) as err:
+            parse_spec("field rational\nextend x : x^2\nquotient : ²*x^2\n")
+        assert err.value.line == 3 and "bad factor '²'" in str(err.value)
 
     def test_zero_quotient_form(self):
         with pytest.raises(SpecError):
