@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import GF, Field, PrimeField
-from .linalg import _NP_MAX_P, Matrix, _matmul_modp, _rref_modp
+from .linalg import _NP_MAX_P, Matrix, _matmul_modp, rank_of
 
 # The largest prime below 2^28: 128 (q-1)^2 < 2^63, so `_matmul_modp` is unchunked to width 128.
 IMAGE_PRIME = 268435399
@@ -356,18 +356,16 @@ class GradedAlgebra:
         return HomogeneousElement(self._image, w.degree, tuple(map(self._image.field.of, w.coeffs)))
 
     def socle_dimensions(self) -> tuple[list[int], bool]:
-        """Per-degree dimension of the common kernel of all degree-1 generator maps, asked
-        first of the image's tables as in `certify`; the algebra is Gorenstein iff it is a line."""
+        """Per-degree dimension of the common kernel of all degree-1 generator maps, ranked by
+        `rank_of` on the image's stacked tables; the algebra is Gorenstein iff it is a line."""
         image, socle = self.image_of(self.one()), []
         b = None if image is None else image.algebra
+        # A closure over the loop's t and n, called only in the iteration that ranks degree t.
+        exact = None if b is self else lambda: Matrix.vstack(
+            self.field, [self.mult_map_matrix(g, t) for g in self.generators()], n)
         for t, n in enumerate(self.dims):
-            rank = -1
-            if b is not None:
-                stack = np.array([X[t] for X in b._tables[0]], dtype=np.int64).reshape(-1, n)
-                rank = len(_rref_modp(stack, b.field.p, full=False)[1])
-            if rank != n and b is not self:
-                rank = Matrix.vstack(self.field, [self.mult_map_matrix(g, t) for g in self.generators()], n).rank()
-            socle.append(n - rank)
+            stack = b and np.array([X[t] for X in b._tables[0]], dtype=np.int64).reshape(-1, n)
+            socle.append(n - rank_of(stack, b and b.field.p, exact, n))
         return socle, sum(socle) == 1
 
     def fingerprint(self) -> str:
@@ -589,15 +587,6 @@ class QuotientAlgebra(GradedAlgebra):
         self.dims = tuple(dims)
         self._pi = pi
         self._kept = kept
-
-    def projection_matrix(self, t: int) -> Matrix:
-        return self._pi[t] if t >= self.form.degree else Matrix.identity(self.field, self.dim(t))
-
-    def section_matrix(self, t: int) -> Matrix:
-        """The matrix of `lift` in degree t: column j is the parent basis vector _kept[t][j]."""
-        f, keep = self.field, self._kept[t]
-        rows = tuple(tuple(f.one if q == r else f.zero for q in keep) for r in range(self.parent.dim(t)))
-        return Matrix(f, self.parent.dim(t), len(keep), rows)
 
     def lift(self, u: HomogeneousElement) -> HomogeneousElement:
         """Coset representative in the parent algebra."""

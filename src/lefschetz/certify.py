@@ -6,13 +6,13 @@ element certifies the property for the algebra (the good locus is Zariski
 open), so the searches report three-valued verdicts and never claim disproof
 from failed sampling alone.
 
-Rank values are always exact.  Every full-rank question is asked first of the
-algebra's image (`GradedAlgebra.image_of`): over QQ the tower replayed over
-GF(268435399), which exists when no denominator vanishes and no quotient's
-pivots move mod q.  Every map of the image is then the reduction of the exact
-map, so a rank mod q equal to the bound is the rank over QQ.  Other ranks
-come from exact elimination over the algebra's field.  Over GF(p) the image
-is the algebra.
+Rank values are always exact.  Every map is ranked by one rule,
+`linalg.rank_of`, asked first of the algebra's image (`GradedAlgebra.image_of`):
+over QQ the tower replayed over GF(268435399), which exists when no
+denominator vanishes and no quotient's pivots move mod q.  Every map of the
+image is then the reduction of the exact map, so a rank mod q equal to the
+bound is the rank over QQ.  Other ranks come from exact elimination over the
+algebra's field.  Over GF(p) the image is the algebra, and its rank is the rank.
 
 A strong check needs only the central maps l^(sigma-2i): A_i -> A_(sigma-i).
 When they are all bijective, l^r: A_i -> A_(i+r) is injective if i+r <= sigma-i,
@@ -39,7 +39,7 @@ import numpy as np
 
 from .algebra import GradedAlgebra, HomogeneousElement
 from .fields import PrimeField
-from .linalg import Matrix, _matmul_modp, _rref_modp
+from .linalg import _matmul_modp, exact_rank, rank_of  # exact_rank: found here by bench/tracer.py
 
 
 class Verdict(str, enum.Enum):
@@ -82,19 +82,6 @@ class RankProfile:
         return sum(1 for row in self.rows if row.is_maximal)
 
 
-def exact_rank(m: Matrix) -> int:
-    """Exact rank, by elimination unless a side is at most 1."""
-    if min(m.nrows, m.ncols) <= 1:
-        return 0 if m.is_zero() else 1
-    return m.rank()
-
-
-def _rank(a: GradedAlgebra, w: HomogeneousElement, image: Optional[HomogeneousElement], i: int, bound: int) -> int:
-    """Rank of w from degree i: its image's if that is the bound, or exact (image is w), else exact."""
-    rank = -1 if image is None else exact_rank(image.algebra.mult_map_matrix(image, i))
-    return rank if rank == bound or image is w else exact_rank(a.mult_map_matrix(w, i))
-
-
 def _profile_for_power(a: GradedAlgebra, w_power: Optional[HomogeneousElement], k: int, r: int,
                        maximal: bool = False, facts: Optional[tuple] = None) -> RankProfile:
     """Ranks of w_power = w^r, w of degree k, on every component; with maximal each rank is the bound
@@ -102,6 +89,9 @@ def _profile_for_power(a: GradedAlgebra, w_power: Optional[HomogeneousElement], 
     rows, dims, deg, (injective, onto) = [], a.dims, k * r, facts or (set(), set())
     zero = not maximal and w_power.is_zero()
     image = None if maximal or zero else a.image_of(w_power)
+    b = None if image is None else image.algebra
+    # A closure over the loop's i, called only in the iteration that ranks row i.
+    exact = None if b is a else lambda: a.mult_map_matrix(w_power, i)
     for i, src in enumerate(dims):
         tgt = dims[i + deg] if i + deg < len(dims) else 0
         bound = min(src, tgt)
@@ -109,7 +99,7 @@ def _profile_for_power(a: GradedAlgebra, w_power: Optional[HomogeneousElement], 
             rank = 0 if zero else bound
         else:
             derived = i in injective or i + deg in onto or i and rows[i - 1].rank == rows[i - 1].dim_target
-            rank = bound if derived else _rank(a, w_power, image, i, bound)
+            rank = bound if derived else rank_of(b and b._table_map(image, i), b and b.field.p, exact, bound)
             if rank == src:
                 injective.add(i)
             if rank == tgt:
@@ -158,7 +148,7 @@ def _central_maps_bijective_on_image(a: GradedAlgebra, l: HomogeneousElement) ->
     for i in range(s // 2, -1, -1):
         if i < s // 2:
             c = _matmul_modp(L[s - i - 1], _matmul_modp(c, L[i], p), p)
-        if s > 2 * i and len(_rref_modp(c, p, full=False)[1]) < a.dim(i):
+        if s > 2 * i and rank_of(c, p, None, a.dim(i)) < a.dim(i):
             return False
     return True
 

@@ -9,7 +9,10 @@ same integer elimination over every field.  `Matrix` products use exact field
 arithmetic, and mod-p products of int64 arrays are `_matmul_modp`.  Echelon
 forms over GF(p) are one routine on arrays mod p, reduced only as often as
 overflow requires: int64 arrays up to `_NP_MAX_P`, and above it arrays of
-Python ints, reduced at every step; a rank mod p is a forward pass.
+Python ints, reduced at every step; a rank mod p is a forward pass.  `rank_of`
+is the one rank rule: a map's reduction mod q gives its rank when that is the
+bound or the reduction is the map (a rank mod q is at most the rank over QQ),
+else the exact map is built and ranked by `exact_rank`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -59,11 +62,6 @@ class Matrix:
         return cls(field, nrows, ncols, tuple((z,) * ncols for _ in range(nrows)))
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
-
-    @classmethod
     def vstack(cls, field: Field, mats: Sequence["Matrix"], ncols: int) -> "Matrix":
         rows = []
         for m in mats:
@@ -80,10 +78,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.ncols, self.nrows, tuple(zip(*self.rows)) if self.nrows and self.ncols else tuple(() for _ in range(self.ncols)))
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        rows = tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx)
-        return Matrix(self.field, len(row_idx), len(col_idx), rows)
 
     def is_zero(self) -> bool:
         zero = self.field.is_zero
@@ -270,6 +264,24 @@ def _rref_modp(a: np.ndarray, p: int, full: bool = True):
     return out, pivots
 
 
+def exact_rank(m: Matrix) -> int:
+    """Exact rank, by elimination unless a side is at most 1."""
+    if min(m.nrows, m.ncols) <= 1:
+        return 0 if m.is_zero() else 1
+    return m.rank()
+
+
+def rank_of(image: Optional[np.ndarray], q: Optional[int], exact: Optional[Callable[[], Matrix]], bound: int) -> int:
+    """Rank of a map from its int64 reduction mod q (`image`, or None): the
+    image's forward-pass rank when that is `bound` or when the image is the
+    map (`exact` None), else `exact_rank(exact())`."""
+    if image is not None:
+        rank = len(_rref_modp(image, q, full=False)[1])
+        if rank == bound or exact is None:
+            return rank
+    return exact_rank(exact())
+
+
 def _matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     a = a % p
     b = b % p
@@ -286,8 +298,8 @@ def _matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def modular_rank_lower_bound(m: Matrix, p: int = WITNESS_PRIME) -> Optional[int]:
-    """Rank of the mod-p reduction of a rational matrix, a certified lower
-    bound for the exact rank.  None when some denominator vanishes mod p."""
+    """Rank mod p of a rational matrix, a certified lower bound for its exact rank, or None
+    when some denominator vanishes mod p.  Only the tests and `bench/tracer.py` call it."""
     if m.field != QQ:
         raise ValueError("modular rank bounds apply to rational matrices")
     # Each row is scaled by the lcm of its denominators, a unit mod p unless
@@ -359,8 +371,3 @@ def anti_triangularize(m: Matrix) -> AntiTriangularization:
             cols[j] = [f.sub(x, f.mul(factor, y)) for x, y in zip(cols[j], cols[s])]
     rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     return AntiTriangularization(True, Matrix(f, n, n, rows), None)
-
-
-def rational_matrix(rows) -> Matrix:
-    """Convenience constructor for matrices over the rationals."""
-    return Matrix.from_rows(QQ, [[Fraction(x) for x in row] for row in rows])

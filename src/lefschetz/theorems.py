@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import ExtensionAlgebra, GradedAlgebra, HomogeneousElement, MonicPoly
-from .certify import RankProfile, exact_rank, is_lefschetz
+from .certify import RankProfile, is_lefschetz
 from .fields import QQ, PrimeField, binomial
-from .linalg import Matrix, cauchy_determinant
+from .linalg import Matrix, cauchy_determinant, exact_rank
 
 
 class ScalingSearchError(RuntimeError):

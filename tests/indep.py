@@ -1,9 +1,14 @@
 """Independent reference model for monomial complete intersections: plain
 dict-based polynomial arithmetic over exponent vectors, a no-numpy row
 reduction mod p, and Gauss-Jordan elimination by a field's own operations.
-Used as an oracle against the package implementation."""
+Used as an oracle against the package implementation.  The constructors of
+package matrices at the end serve the tests alone."""
 
 import itertools
+from fractions import Fraction
+
+from lefschetz.fields import QQ
+from lefschetz.linalg import Matrix
 
 
 def monomials_of_degree(caps, d):
@@ -102,3 +107,30 @@ def label_to_exponents(label, nvars, prefix="x"):
             v, k = part, 1
         e[int(v[len(prefix):]) - 1] = k
     return tuple(e)
+
+
+def rational_matrix(rows):
+    """Matrix over the rationals from rows of ints or Fractions."""
+    return Matrix.from_rows(QQ, [[Fraction(x) for x in row] for row in rows])
+
+
+def identity(field, n):
+    z, o = field.zero, field.one
+    return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+
+
+def submatrix(m, row_idx, col_idx):
+    rows = tuple(tuple(m.rows[i][j] for j in col_idx) for i in row_idx)
+    return Matrix(m.field, len(row_idx), len(col_idx), rows)
+
+
+def projection_matrix(b, t):
+    """The matrix of a quotient b's projection from its parent in degree t."""
+    return b._pi[t] if t >= b.form.degree else identity(b.field, b.dim(t))
+
+
+def section_matrix(b, t):
+    """The matrix of b.lift in degree t: column j is the parent basis vector b._kept[t][j]."""
+    f, keep = b.field, b._kept[t]
+    rows = tuple(tuple(f.one if q == r else f.zero for q in keep) for r in range(b.parent.dim(t)))
+    return Matrix(f, b.parent.dim(t), len(keep), rows)

@@ -211,11 +211,9 @@ class TestQuotient:
         rng = random.Random(13)
         a = monomial_complete_intersection(GF(7), (2, 2, 2))
         b = a.quotient(a.random_element(1, rng))
-        from lefschetz.linalg import Matrix
-
         for t in range(b.sigma + 1):
-            pi, iota = b.projection_matrix(t), b.section_matrix(t)
-            assert pi @ iota == Matrix.identity(b.field, b.dim(t))
+            pi, iota = indep.projection_matrix(b, t), indep.section_matrix(b, t)
+            assert pi @ iota == indep.identity(b.field, b.dim(t))
 
     def test_iterated_quotients(self):
         a = monomial_complete_intersection(QQ, (2, 2, 2))

@@ -161,9 +161,9 @@ def test_projections_split_the_lifts_in_every_degree(data):
         for t in range(b.sigma + 1):
             u = random_element(b, t, rng)
             assert b.project(b.lift(u)) == u
-            pi, iota = b.projection_matrix(t), b.section_matrix(t)
+            pi, iota = indep.projection_matrix(b, t), indep.section_matrix(b, t)
             assert (pi.nrows, pi.ncols) == (b.dim(t), b.parent.dim(t))
-            assert pi @ iota == Matrix.identity(b.field, b.dim(t))
+            assert pi @ iota == indep.identity(b.field, b.dim(t))
 
 
 @BUDGET

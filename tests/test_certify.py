@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from lefschetz.algebra import IMAGE_PRIME, ExtensionAlgebra, MonicPoly, monomial_complete_intersection
+from lefschetz import certify
+from lefschetz.algebra import (
+    IMAGE_PRIME,
+    ExtensionAlgebra,
+    GradedAlgebra,
+    MonicPoly,
+    QuotientAlgebra,
+    monomial_complete_intersection,
+)
 from lefschetz.certify import (
     ProfileRow,
     RankProfile,
@@ -18,6 +26,7 @@ from lefschetz.certify import (
 )
 from lefschetz.fields import GF, QQ
 from lefschetz.sweeps import counterexample_base, generic_form_quotient, HILBERT_GENERIC_QUOTIENT
+from test_algebra import exact_socle
 
 
 def stanley22(field=QQ):
@@ -139,20 +148,47 @@ class TestLefschetz:
 
     def test_strong_fallback_reuses_the_central_ranks(self, monkeypatch):
         # The example above: l^3 on A_0 is bijective, l on A_1 is not, and they
-        # decide the other 4 maps of the grid.  l on A_1 is built twice: on the
-        # image mod q, where it is deficient, and exactly.
+        # decide the other 4 maps of the grid.  After the central C_1 = l on A_1,
+        # two maps are ranked on the image mod q: l^3 on A_0, full, and l on
+        # A_1, deficient.  Only l on A_1 is then built exactly.
         a = monomial_complete_intersection(QQ, (3,))
         b = a.extend("y", MonicPoly(a, 2, [a.generators()[0], a.zero(2)]))
+        built, ranked = [], []
+        original, rank_of = type(b).mult_map_matrix, certify.rank_of
+
+        def counting(self, w, i):
+            built.append((self.field, w.degree, i))
+            return original(self, w, i)
+
+        def counting_rank(image, q, exact, bound):
+            ranked.append((image.shape, bound, exact is not None))
+            return rank_of(image, q, exact, bound)
+
+        monkeypatch.setattr(type(b), "mult_map_matrix", counting)
+        monkeypatch.setattr(certify, "rank_of", counting_rank)
+        ok, _ = is_strong_lefschetz(b, b.generator("y"))
+        assert not ok and built == [(QQ, 1, 1)]
+        assert ranked == [((2, 2), 2, False), ((1, 1), 1, True), ((2, 2), 2, True)]
+
+    def test_over_gf_p_ranks_build_no_matrix(self, monkeypatch):
+        # Over GF(p) the compiled tables are the image and its ranks are the
+        # ranks: a failing strong check and the socle build no `Matrix`.
+        a = monomial_complete_intersection(GF(32003), (3,))
+        b = a.extend("y", MonicPoly(a, 2, [a.generators()[0], a.zero(2)]))
+        y = b.generator("y")
+        c = b.quotient(y * y)
+        grid, socles = exact_grid(b, y), [exact_socle(alg) for alg in (b, c)]
         built = []
-        original = type(b).mult_map_matrix
 
         def counting(self, w, i):
             built.append((w.degree, i))
-            return original(self, w, i)
 
-        monkeypatch.setattr(type(b), "mult_map_matrix", counting)
-        ok, _ = is_strong_lefschetz(b, b.generator("y"))
-        assert not ok and sorted(built) == [(1, 1), (1, 1), (3, 0)]
+        for cls in (GradedAlgebra, QuotientAlgebra):
+            monkeypatch.setattr(cls, "mult_map_matrix", counting)
+        ok, profiles = is_strong_lefschetz(b, y)
+        assert not ok and profiles == grid
+        assert [alg.socle_dimensions()[0] for alg in (b, c)] == socles
+        assert built == []
 
     def test_degree_one_required_for_strong(self):
         a = stanley22()

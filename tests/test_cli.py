@@ -63,13 +63,13 @@ class TestCheckCommand:
         # The 512-dim quotient's Hilbert function 1 5 14 ... 70 46 16 is not
         # symmetric; of the 55 maps of the element that certifies it, longer
         # powers and the row before decide 45.
-        ranked, rank = [], certify._rank
+        ranked, rank_of = [], certify.rank_of
 
-        def counting(a, w, image, i, bound):
-            ranked.append((w.degree, i))
-            return rank(a, w, image, i, bound)
+        def counting(image, q, exact, bound):
+            ranked.append(bound)
+            return rank_of(image, q, exact, bound)
 
-        monkeypatch.setattr(certify, "_rank", counting)
+        monkeypatch.setattr(certify, "rank_of", counting)
         assert main(["check", str(SPECS / "quotient512.spec"), "--mode", "strong", "--seed", "0"]) == 0
         assert "certified_success" in capsys.readouterr().out
         assert len(ranked) == 10

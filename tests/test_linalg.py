@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import indep
+from indep import identity, rational_matrix, submatrix
 from lefschetz.algebra import IMAGE_PRIME
 from lefschetz.fields import GF, QQ
 from lefschetz.linalg import (
@@ -17,7 +19,7 @@ from lefschetz.linalg import (
     anti_triangularize,
     cauchy_determinant,
     modular_rank_lower_bound,
-    rational_matrix,
+    rank_of,
 )
 
 
@@ -41,7 +43,7 @@ class TestRref:
         assert red.rows[1] == (Fraction(0), Fraction(0))
 
     def test_identity(self):
-        assert Matrix.identity(QQ, 3).rank() == 3
+        assert identity(QQ, 3).rank() == 3
 
     def test_gf2_rank_with_enumeration_oracle(self):
         rows = [[1, 1], [1, 0]]
@@ -90,7 +92,7 @@ class TestKernel:
         assert v[0] * 1 + v[1] * 2 == 0 and v != (0, 0)
 
     def test_identity_kernel_empty(self):
-        assert Matrix.identity(QQ, 2).kernel_basis() == []
+        assert identity(QQ, 2).kernel_basis() == []
 
     def test_plane_kernel(self):
         m = rational_matrix([[1, 1, 1]])
@@ -121,7 +123,7 @@ class TestDeterminant:
         assert m.det() == cofactor
 
     def test_identity_and_singular(self):
-        assert Matrix.identity(QQ, 4).det() == 1
+        assert identity(QQ, 4).det() == 1
         assert rational_matrix([[1, 2], [2, 4]]).det() == 0
         assert Matrix.zeros(QQ, 0, 0).det() == 1
 
@@ -178,7 +180,7 @@ def lower_left_blocks_nonsingular(m):
     (rows i..n, columns 1..n-i+1) has nonzero determinant."""
     n = m.nrows
     for i in range(1, n + 1):
-        block = m.submatrix(range(i - 1, n), range(n - i + 1))
+        block = submatrix(m, range(i - 1, n), range(n - i + 1))
         if block.det() == 0:
             return False
     return True
@@ -239,6 +241,44 @@ def test_modular_rank_lower_bound_on_integer_matrices():
         assert lb is not None and lb <= m.rank()
         # small integer entries: reduction mod a 31-bit prime never loses rank
         assert lb == m.rank()
+
+
+class TestRankOf:
+    """The one rank rule: a map's reduction mod q decides when its rank is the
+    bound or when it is the map; otherwise the exact map is built and ranked."""
+
+    @staticmethod
+    def exact(rows, built):
+        def build():
+            built.append(rows)
+            return rational_matrix(rows)
+        return build
+
+    def test_full_image_never_builds_the_exact_map(self):
+        built = []
+        assert rank_of(np.array([[1, 2], [3, 4]]), 7, self.exact([[1, 2], [3, 4]], built), 2) == 2
+        assert built == []
+
+    def test_deficient_image_builds_the_exact_map_once(self):
+        # [[1, 7], [1, 0]] has rank 1 mod 7 and rank 2 over QQ; [[1, 2], [2, 4]] rank 1 in both.
+        for rows, rank in (([[1, 7], [1, 0]], 2), ([[1, 2], [2, 4]], 1)):
+            built = []
+            assert rank_of(np.array(rows), 7, self.exact(rows, built), 2) == rank and built == [rows]
+
+    def test_image_that_is_the_map_gives_its_rank(self):
+        assert rank_of(np.array([[1, 7], [1, 0]]), 7, None, 2) == 1
+        assert rank_of(np.zeros((0, 3), dtype=np.int64), 7, None, 0) == 0
+
+    def test_no_image_ranks_the_exact_map(self):
+        built = []
+        assert rank_of(None, None, self.exact([[1, 7], [1, 0]], built), 2) == 2 and len(built) == 1
+
+
+def test_only_linalg_runs_the_mod_p_elimination():
+    # Every other module ranks through `rank_of`, so the rule has one copy.
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "lefschetz").glob("*.py"))
+    assert "linalg.py" in [m.name for m in modules]
+    assert [m.name for m in modules if m.name != "linalg.py" and "_rref_modp(" in m.read_text()] == []
 
 
 # `_matmul_modp` sums chunks of 2 and of 1 inner column at the first two primes;

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import indep
 from lefschetz.algebra import MonicPoly, monomial_complete_intersection, trivial_algebra
 from lefschetz.certify import is_strong_lefschetz, search_strong
 from lefschetz.fields import GF, QQ, binomial
@@ -173,7 +174,7 @@ class TestBlockMatrix:
         id_size = sum(col_dims[i] for i in range(k - q))
         n_rows = [sum(row_dims[:j]) + r for j in range(q) for r in range(row_dims[j])]
         n_cols = [sum(col_dims[:i]) + c for i in range(k - q, k) for c in range(col_dims[i])]
-        n = m.submatrix(n_rows, n_cols)
+        n = indep.submatrix(m, n_rows, n_cols)
         assert m.rank() == n.rank() + id_size
 
     def test_degenerate_target(self):
