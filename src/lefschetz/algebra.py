@@ -13,13 +13,13 @@ Each kind defines its product once, as a block map (`_map`): the base field
 gives a scalar, an extension assembles its base's maps block by block, and a
 quotient projects its parent's map.
 
-Over GF(p) with p <= _NP_MAX_P an algebra is compiled on first use, by the
-same block rule, to int64 tables mod p: generator tables X_g(t): A_t -> A_{t+1}
-and factor tables e_c = g*P_g(i)e_c for each basis element e_c of A_i.  The map
-of a linear form is sum_g lambda_g X_g; any other form w, of degree s, has the
-degree chain M(0) = w, M(i)[:, C_g] = X_g(i+s-1) M(i-1) P_g(i).  Products use
-the lower-degree factor's map.  Over QQ and larger primes `_map` is used, and an
-algebra over QQ has a compiled image over GF(q) for rank checks (`image_of`).
+An algebra is compiled on first use, by the same block rule, to int64 tables
+mod q = `modulus`, p over GF(p) and IMAGE_PRIME over QQ: generator tables
+X_g(t): A_t -> A_{t+1} and factor tables e_c = g*P_g(i)e_c for each basis
+element e_c of A_i.  The map of a linear form is sum_g lambda_g X_g; any other
+form w, of degree s, has the degree chain M(0) = w, M(i)[:, C_g] =
+X_g(i+s-1) M(i-1) P_g(i): the exact map mod q (`image_map`), which over GF(p)
+is the map, for products too, and over QQ is what rank checks ask first.
 
 All element and matrix arithmetic is exact.  Degrees above the socle degree
 are genuine zero spaces: their elements have empty coefficient vectors and
@@ -191,7 +191,6 @@ class GradedAlgebra:
     dims: tuple[int, ...]
     _last = None  # (degree and coefficients of an element, its chain of maps so far)
     _compiled = False  # until `_tables` is first read
-    _image = False  # over QQ, until `image_of` first reads it
 
     @property
     def sigma(self) -> int:
@@ -264,11 +263,11 @@ class GradedAlgebra:
         if not u.degree or not v.degree:  # a scalar times the other factor
             c, w = (u.coeffs[0], v) if not u.degree else (v.coeffs[0], u)
             return HomogeneousElement(self, t, tuple(self.field.mul(c, a) for a in w.coeffs))
-        if not self._tables:
+        if not self.image_is_exact:
             return HomogeneousElement(self, t, self._product(u, v))
         u, v = (u, v) if u.degree <= v.degree else (v, u)
         col = np.array(v.coeffs, dtype=np.int64).reshape(-1, 1)
-        product = _matmul_modp(self._table_map(u, v.degree), col, self.field.p)
+        product = _matmul_modp(self._table_map(u, v.degree), col, self.modulus)
         return HomogeneousElement(self, t, tuple(product[:, 0].tolist()))
 
     def _product(self, u: HomogeneousElement, v: HomogeneousElement) -> tuple:
@@ -307,65 +306,72 @@ class GradedAlgebra:
         if nr == 0 or nc == 0:
             return Matrix.zeros(self.field, nr, nc)
         # entries come straight from field arithmetic, no re-validation needed
-        rows = map(tuple, self._table_map(w, i).tolist()) if self._tables else self._map(w, i, range(nc))
+        rows = map(tuple, self._table_map(w, i).tolist()) if self.image_is_exact else self._map(w, i, range(nc))
         return Matrix(self.field, nr, nc, tuple(rows))
+
+    @property
+    def modulus(self) -> int:
+        """The prime q of the tables: p over GF(p), IMAGE_PRIME over QQ."""
+        return self.field.p if isinstance(self.field, PrimeField) else IMAGE_PRIME
 
     @property
     def _tables(self) -> Optional[tuple[list, dict]]:
         """Generator tables X[g][t], t = 0..sigma, and factor tables F[i] = [(g, cols, P)],
-        i = 1..sigma, with e_c = g * P[:, k] for the k-th c of cols and P[:, k] on the
-        first len(P) coordinates of A_{i-1}: int64 arrays mod p, or None over QQ and for
-        p > _NP_MAX_P.  Built by `_compile` on first use and kept by plain assignment: a
-        cached_property's instance __dict__ would slow every attribute read."""
+        i = 1..sigma, with e_c = g * P[:, k] for the k-th c of cols and P[:, k] on the first
+        len(P) coordinates of A_{i-1}: int64 arrays, the exact tables mod q = `modulus`; None for
+        q > _NP_MAX_P, or when q divides a denominator of a relation or a projection.  Built by
+        `_compile` on first use, kept by plain assignment: a cached_property's __dict__ slows reads."""
         if self._compiled is False:
-            prime = isinstance(self.field, PrimeField) and self.field.p <= _NP_MAX_P
-            self._compiled = self._compile() if prime else None
+            try:
+                self._compiled = self._compile() if self.modulus <= _NP_MAX_P else None
+            except ZeroDivisionError:  # over QQ, raised by GF(q).of
+                self._compiled = None
         return self._compiled
 
+    @property
+    def image_is_exact(self) -> bool:
+        """Whether the tables are the exact maps: over GF(p), when they exist."""
+        return isinstance(self.field, PrimeField) and self._tables is not None
+
     def _table_map(self, w: HomogeneousElement, i: int) -> np.ndarray:
-        """Map of w from degree i, from the compiled tables."""
-        (X, F), p, s = self._tables, self.field.p, w.degree
+        """Map of w from degree i mod q, from the compiled tables."""
+        (X, F), q, s = self._tables, self.modulus, w.degree
+        of = int if isinstance(self.field, PrimeField) else GF(q).of  # ZeroDivisionError when q divides a QQ denominator
         if s == 1:  # w = sum_g lambda_g g
             m = np.zeros((self.dim(i + 1), self.dim(i)), dtype=np.int64)
             for g, cols, P in F[1]:
-                lam = sum(w.coeffs[c] * x for c, x in zip(cols, P[0].tolist())) % p
+                lam = sum(of(w.coeffs[c]) * x for c, x in zip(cols, P[0].tolist())) % q
                 if lam:
-                    m = (m + lam * X[g][i]) % p
+                    m = (m + lam * X[g][i]) % q
             return m
         if self._last is None or self._last[0] != (s, w.coeffs):  # no element kept: it would pin self in a cycle
-            self._last = ((s, w.coeffs), [np.array(w.coeffs, dtype=np.int64).reshape(-1, 1)])
+            self._last = ((s, w.coeffs), [np.array([*map(of, w.coeffs)], dtype=np.int64).reshape(-1, 1)])
         maps = self._last[1]
         while len(maps) <= i:
             k = len(maps)
             m = np.zeros((self.dim(k + s), self.dim(k)), dtype=np.int64)
             for g, cols, P in F[k]:
-                m[:, cols] = _matmul_modp(X[g][k + s - 1], _matmul_modp(maps[-1][:, :len(P)], P, p), p)
+                m[:, cols] = _matmul_modp(X[g][k + s - 1], _matmul_modp(maps[-1][:, :len(P)], P, q), q)
             maps.append(m)
         return maps[i]
 
-    def image_of(self, w: HomogeneousElement) -> Optional[HomogeneousElement]:
-        """w in the algebra's image: over QQ the tower replayed over GF(IMAGE_PRIME), with its
-        relations and forms reduced, kept in `_image`; over GF(p) the algebra itself.  None
-        when a denominator vanishes or a quotient's pivots move mod q, or p > _NP_MAX_P."""
-        if isinstance(self.field, PrimeField):
-            return w if self.field.p <= _NP_MAX_P else None
-        if self._image is False:
-            self._image = self._reduce()
-        if self._image is None or not all(c.denominator % IMAGE_PRIME for c in w.coeffs):
+    def image_map(self, w: HomogeneousElement, i: int) -> Optional[np.ndarray]:
+        """w's map from degree i, i + deg w <= sigma, mod q; None without tables or if q divides a denominator of w."""
+        try:
+            return self._tables and self._table_map(w, i)
+        except ZeroDivisionError:
             return None
-        return HomogeneousElement(self._image, w.degree, tuple(map(self._image.field.of, w.coeffs)))
 
     def socle_dimensions(self) -> tuple[list[int], bool]:
         """Per-degree dimension of the common kernel of all degree-1 generator maps, ranked by
-        `rank_of` on the image's stacked tables; the algebra is Gorenstein iff it is a line."""
-        image, socle = self.image_of(self.one()), []
-        b = None if image is None else image.algebra
+        `rank_of` on the stacked generator tables; the algebra is Gorenstein iff it is a line."""
+        tables, socle = self._tables, []
         # A closure over the loop's t and n, called only in the iteration that ranks degree t.
-        exact = None if b is self else lambda: Matrix.vstack(
+        exact = None if self.image_is_exact else lambda: Matrix.vstack(
             self.field, [self.mult_map_matrix(g, t) for g in self.generators()], n)
         for t, n in enumerate(self.dims):
-            stack = b and np.array([X[t] for X in b._tables[0]], dtype=np.int64).reshape(-1, n)
-            socle.append(n - rank_of(stack, b and b.field.p, exact, n))
+            stack = tables and np.array([X[t] for X in tables[0]], dtype=np.int64).reshape(-1, n)
+            socle.append(n - rank_of(stack, self.modulus, exact, n))
         return socle, sum(socle) == 1
 
     def fingerprint(self) -> str:
@@ -387,9 +393,6 @@ class TrivialAlgebra(GradedAlgebra):
 
     def _compile(self):
         return [], {}
-
-    def _reduce(self):
-        return TrivialAlgebra(GF(IMAGE_PRIME))
 
     # Bound in each class, as is QuotientAlgebra.mult_map_matrix, because
     # bench/tracer.py wraps the methods it finds in each class's own namespace.
@@ -489,8 +492,10 @@ class ExtensionAlgebra(GradedAlgebra):
     multiply = GradedAlgebra.multiply
 
     def _compile(self):
+        if self.base._tables is None:
+            return None
         XA, FA = self.base._tables
-        p, d, n, top = self.field.p, self.d, len(XA), self.sigma + 1
+        q, d, n, top = self.modulus, self.d, len(XA), self.sigma + 1
         seg = [{j: slice(lo, hi) for j, lo, hi in self._layout(t)} for t in range(top + 1)]
         X = [[np.zeros((self.dim(t + 1), self.dim(t)), dtype=np.int64) for t in range(top)] for _ in range(n + 1)]
         for t in range(top):
@@ -503,7 +508,7 @@ class ExtensionAlgebra(GradedAlgebra):
         for i, a in enumerate(self.relation.lower, start=1):  # x * A_{t-d+1} x^{d-1} = -sum_i a_i A_{t-d+1} x^{d-i}
             for t in range(d - 1, top):
                 if not a.is_zero() and d - 1 in seg[t] and d - i in seg[t + 1]:
-                    X[n][t][seg[t + 1][d - i], seg[t][d - 1]] = -self.base._table_map(a, t - d + 1) % p
+                    X[n][t][seg[t + 1][d - i], seg[t][d - 1]] = -self.base._table_map(a, t - d + 1) % q
         F = {}
         for i in range(1, top):
             F[i] = list(FA.get(i, ()))  # A_{i-1} leads B_{i-1}, so the base's P stay as they are
@@ -513,10 +518,6 @@ class ExtensionAlgebra(GradedAlgebra):
                 P[[r for j, lo, hi in self._layout(i - 1) if j < d - 1 for r in range(lo, hi)], range(len(cols))] = 1
                 F[i].append((n, cols, P))
         return X, F
-
-    def _reduce(self):
-        lower = [self.base.image_of(a) for a in self.relation.lower]
-        return None if None in lower else lower[0].algebra.extend(self.var, MonicPoly(lower[0].algebra, self.d, lower))
 
     def include(self, u: HomogeneousElement) -> HomogeneousElement:
         """Image of a base-algebra element under the inclusion into the extension."""
@@ -616,12 +617,14 @@ class QuotientAlgebra(GradedAlgebra):
         return list((self._pi[t] @ Matrix(self.field, len(inner), len(cols), tuple(inner))).rows)
 
     def _compile(self):
-        XA, FA = self.parent._tables
-        p, kept = self.field.p, self._kept
-        pi = {t: m._np() for t, m in self._pi.items()}
+        if self.parent._tables is None:
+            return None
+        (XA, FA), q, kept = self.parent._tables, self.modulus, self._kept
+        pi = {t: m._np() if isinstance(self.field, PrimeField) else  # over QQ entry by entry
+              np.array([[*map(GF(q).of, row)] for row in m.rows], dtype=np.int64) for t, m in self._pi.items()}
 
         def project(t, m):  # pi_t m; no rows above the socle degree
-            return m[:0] if t > self.sigma else _matmul_modp(pi[t][:, :len(m)], m, p) if t in pi else m
+            return m[:0] if t > self.sigma else _matmul_modp(pi[t][:, :len(m)], m, q) if t in pi else m
 
         X = [[project(t + 1, Xg[t][:, kept[t]]) for t in range(self.sigma + 1)] for Xg in XA]
         F = {}
@@ -630,13 +633,6 @@ class QuotientAlgebra(GradedAlgebra):
             F[i] = [(g, [pos[q] for q in cols if q in pos], project(i - 1, P[:, [q in pos for q in cols]]))
                     for g, cols, P in FA[i]]
         return X, F
-
-    def _reduce(self):
-        g = self.parent.image_of(self.form)
-        if g is None or g.is_zero():
-            return None
-        image = g.algebra.quotient(g)  # equal pivots keep pi q-integral: its tables reduce ours
-        return image if image._kept == self._kept else None
 
     mult_map_matrix = GradedAlgebra.mult_map_matrix
     multiply = GradedAlgebra.multiply

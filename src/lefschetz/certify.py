@@ -6,13 +6,12 @@ element certifies the property for the algebra (the good locus is Zariski
 open), so the searches report three-valued verdicts and never claim disproof
 from failed sampling alone.
 
-Rank values are always exact.  Every map is ranked by one rule,
-`linalg.rank_of`, asked first of the algebra's image (`GradedAlgebra.image_of`):
-over QQ the tower replayed over GF(268435399), which exists when no
-denominator vanishes and no quotient's pivots move mod q.  Every map of the
-image is then the reduction of the exact map, so a rank mod q equal to the
-bound is the rank over QQ.  Other ranks come from exact elimination over the
-algebra's field.  Over GF(p) the image is the algebra, and its rank is the rank.
+Rank values are always exact.  Every map is ranked by one rule, `linalg.rank_of`,
+asked first of its image (`GradedAlgebra.image_map`): the exact map reduced mod q,
+read off the algebra's own tables, with q = 268435399 over QQ.  A rank mod q equal
+to the bound is then the rank over QQ; other ranks come from exact elimination
+over the algebra's field.  Over GF(p) the tables are the maps, and their rank is
+the rank.
 
 A strong check needs only the central maps l^(sigma-2i): A_i -> A_(sigma-i).
 When they are all bijective, l^r: A_i -> A_(i+r) is injective if i+r <= sigma-i,
@@ -20,7 +19,7 @@ as a first factor of l^(sigma-2i), and else surjective, as a second factor of
 l^(sigma-2j) with j = sigma-i-r < i, or maps to zero: its rank is
 min(dim A_i, dim A_(i+r)) over any field (Harima et al., The Lefschetz
 Properties, LNM 2080, 2013).  Their images are the chains
-C_i = L_(sigma-i-1) C_(i+1) L_i of the image's maps L_t of l.  If one is not
+C_i = L_(sigma-i-1) C_(i+1) L_i of the image maps L_t of l.  If one is not
 bijective, the powers are ranked from l^sigma down to l, and earlier ranks decide
 a map without building it: l^r is injective on A_i where a longer power is, onto
 A_t where a longer power is, and w is onto A_(i+deg w) where it maps A_(i-1) onto
@@ -88,10 +87,8 @@ def _profile_for_power(a: GradedAlgebra, w_power: Optional[HomogeneousElement], 
     and w_power is not needed.  facts: (injective sources, onto targets) of longer powers of w."""
     rows, dims, deg, (injective, onto) = [], a.dims, k * r, facts or (set(), set())
     zero = not maximal and w_power.is_zero()
-    image = None if maximal or zero else a.image_of(w_power)
-    b = None if image is None else image.algebra
     # A closure over the loop's i, called only in the iteration that ranks row i.
-    exact = None if b is a else lambda: a.mult_map_matrix(w_power, i)
+    exact = None if a.image_is_exact else lambda: a.mult_map_matrix(w_power, i)
     for i, src in enumerate(dims):
         tgt = dims[i + deg] if i + deg < len(dims) else 0
         bound = min(src, tgt)
@@ -99,7 +96,7 @@ def _profile_for_power(a: GradedAlgebra, w_power: Optional[HomogeneousElement], 
             rank = 0 if zero else bound
         else:
             derived = i in injective or i + deg in onto or i and rows[i - 1].rank == rows[i - 1].dim_target
-            rank = bound if derived else rank_of(b and b._table_map(image, i), b and b.field.p, exact, bound)
+            rank = bound if derived else rank_of(a.image_map(w_power, i), a.modulus, exact, bound)
             if rank == src:
                 injective.add(i)
             if rank == tgt:
@@ -112,6 +109,8 @@ def rank_profile(a: GradedAlgebra, w: HomogeneousElement, r: int) -> RankProfile
     """Profile of multiplication by w^r on every graded component."""
     if r < 1:
         raise ValueError("power must be >= 1")
+    if w.algebra is not a:
+        raise ValueError("element belongs to a different algebra")
     return _profile_for_power(a, w**r, w.degree, r)
 
 
@@ -128,6 +127,8 @@ def is_strong_lefschetz(a: GradedAlgebra, l: HomogeneousElement) -> tuple[bool, 
     powers act on zero spaces), as the module docstring says."""
     if l.degree != 1:
         raise ValueError("strong Lefschetz elements have degree 1")
+    if l.algebra is not a:
+        raise ValueError("element belongs to a different algebra")
     h, s = a.hilbert_function(), a.sigma
     if h == h[::-1] and _central_maps_bijective_on_image(a, l):
         return True, [_profile_for_power(a, None, 1, r, True) for r in range(1, max(s, 1) + 1)]
@@ -139,16 +140,15 @@ def is_strong_lefschetz(a: GradedAlgebra, l: HomogeneousElement) -> tuple[bool, 
 
 def _central_maps_bijective_on_image(a: GradedAlgebra, l: HomogeneousElement) -> bool:
     """Whether every image C_i = L_(sigma-i-1) C_(i+1) L_i of l^(sigma-2i) on A_i is bijective."""
-    image = a.image_of(l)
-    if image is None:
+    s, q = a.sigma, a.modulus
+    L = [a.image_map(l, t) for t in range(s)]
+    if any(m is None for m in L):
         return False
-    b, s, p = image.algebra, a.sigma, image.algebra.field.p
-    L = [b._table_map(image, t) for t in range(s)]
     c = L[s // 2] if s % 2 else np.eye(a.dim(s // 2), dtype=np.int64)  # l^0 on A_(s/2) is the identity
     for i in range(s // 2, -1, -1):
         if i < s // 2:
-            c = _matmul_modp(L[s - i - 1], _matmul_modp(c, L[i], p), p)
-        if s > 2 * i and rank_of(c, p, None, a.dim(i)) < a.dim(i):
+            c = _matmul_modp(L[s - i - 1], _matmul_modp(c, L[i], q), q)
+        if s > 2 * i and rank_of(c, q, None, a.dim(i)) < a.dim(i):
             return False
     return True
 

@@ -342,6 +342,8 @@ def certified_slp_disproof(a: GradedAlgebra, l: HomogeneousElement, r: int, i: i
     dim A_i + dim C_{i+r} > dim A_{i+r} and dim C_{i+r} > 0."""
     if l.degree != 1:
         raise ValueError("l must have degree 1")
+    if l.algebra is not a:
+        raise ValueError("element belongs to a different algebra")
     if r < 1 or i < 0:
         raise ValueError("requires r >= 1 and i >= 0")
     power = l**r

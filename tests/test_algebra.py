@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lefschetz.algebra import (
@@ -12,7 +14,7 @@ from lefschetz.algebra import (
     trivial_algebra,
 )
 from lefschetz.fields import GF, QQ
-from lefschetz.linalg import Matrix
+from lefschetz.linalg import Matrix, rank_of
 
 import indep
 
@@ -304,16 +306,16 @@ class TestSocle:
 
     def test_stack_deficient_mod_q_is_ranked_exactly(self, monkeypatch):
         # B = A/(xy + q yz)/(xz + q yz) on A = QQ[x,y,z]/(x^2,y^2,z^2) is
-        # Gorenstein, and its image keeps the same coordinates.  Mod q the forms
-        # are xy and xz, so x is in the image's socle, and its degree-1 stack has
-        # rank 2 < 3: degree 1 falls back to the exact maps, degree 0 does not.
+        # Gorenstein, and its projections are q-integral.  Mod q the forms are
+        # xy and xz, so x is in the socle of B's tables, and their degree-1 stack
+        # has rank 2 < 3: degree 1 falls back to the exact maps, degree 0 does not.
         a = monomial_complete_intersection(QQ, (2, 2, 2))
         x, y, z = a.generators()
         q = QQ.of(IMAGE_PRIME)
         b1 = a.quotient(x * y + (y * z).scale(q))
         b = b1.quotient(b1.element(2, [1, q]))  # xz + q yz on the basis xz, yz of B1_2
-        image = b.image_of(b.one()).algebra
-        assert image._kept == b._kept and image.socle_dimensions() == ([0, 1, 1], False)
+        stack = np.vstack([X[1] for X in b._tables[0]])
+        assert stack.shape == (3, 3) and rank_of(stack, IMAGE_PRIME, None, 3) == 2
         exact = []
         build = QuotientAlgebra.mult_map_matrix
 
@@ -332,8 +334,17 @@ class TestSocle:
         x, y = b.generators()
         c = b.quotient(x * y)
         for alg, socle in ((b, [0, 0, 0, 1]), (c, [0, 1, 1])):
-            assert alg.image_of(alg.one()) is None
+            assert alg._tables is None
             assert alg.socle_dimensions() == (socle, sum(socle) == 1) and exact_socle(alg) == socle
+
+
+def test_only_algebra_reads_the_compiled_tables():
+    # Every other module asks `image_map` and `image_is_exact`, so the tables have one reader.
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "lefschetz").glob("*.py"))
+    assert "algebra.py" in [m.name for m in modules]
+    readers = [m.name for m in modules if m.name != "algebra.py"
+               and ("_tables" in m.read_text() or "_table_map(" in m.read_text())]
+    assert readers == []
 
 
 def exact_socle(alg):

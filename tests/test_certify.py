@@ -10,6 +10,7 @@ from lefschetz.algebra import (
     GradedAlgebra,
     MonicPoly,
     QuotientAlgebra,
+    TrivialAlgebra,
     monomial_complete_intersection,
 )
 from lefschetz.certify import (
@@ -25,6 +26,8 @@ from lefschetz.certify import (
     search_weak,
 )
 from lefschetz.fields import GF, QQ
+from lefschetz.linalg import rank_of
+from lefschetz.theorems import certified_slp_disproof
 from lefschetz.sweeps import counterexample_base, generic_form_quotient, HILBERT_GENERIC_QUOTIENT
 from test_algebra import exact_socle
 
@@ -196,6 +199,20 @@ class TestLefschetz:
         with pytest.raises(ValueError):
             is_strong_lefschetz(a, x * y)
 
+    @pytest.mark.parametrize("field", [GF(32003), QQ])
+    def test_elements_of_another_algebra_are_refused(self, field):
+        # In C = K[x]/(x^2)[y]/(y^2 + 2xy), (x + y)^2 = 0; in A = K[x, y]/(x^2, y^2) it is 2xy.
+        a = monomial_complete_intersection(field, (2, 2))
+        b = monomial_complete_intersection(field, (2,))
+        c = b.extend("y", MonicPoly(b, 2, [b.generator("x1").scale(field.of(2)), b.zero(2)]))
+        la, lc = a.generator("x1") + a.generator("x2"), c.generator("x1") + c.generator("y")
+        assert (lc * lc).is_zero() and not (la * la).is_zero()
+        for check in (lambda: is_strong_lefschetz(c, la), lambda: certify_element(c, la, "strong"),
+                      lambda: is_lefschetz(c, la), lambda: rank_profile(a, lc, 2),
+                      lambda: certified_slp_disproof(a, lc, 2, 0)):
+            with pytest.raises(ValueError, match="different algebra"):
+                check()
+
     def test_scaling_invariance(self):
         rng = random.Random(5)
         a = monomial_complete_intersection(QQ, (3, 2))
@@ -221,8 +238,9 @@ def exact_grid(a, l):
 
 
 class TestImage:
-    """Ranks over QQ are asked of the image mod q = IMAGE_PRIME first; only a
-    full rank mod q decides, and an algebra with no sound image has none."""
+    """Ranks over QQ are asked first of the image mod q = IMAGE_PRIME, the
+    algebra's own tables; only a full rank mod q decides, and an algebra whose
+    tables would not reduce the exact maps has none."""
 
     def test_element_deficient_mod_q_is_ranked_exactly(self, monkeypatch):
         # l = x + q(y + z) is x mod q, neither weak nor strong Lefschetz on
@@ -230,9 +248,9 @@ class TestImage:
         a = monomial_complete_intersection(QQ, (2, 2, 2))
         x, y, z = a.generators()
         l = x + (y + z).scale(QQ.of(IMAGE_PRIME))
-        image = a.image_of(l)
-        assert image == a.image_of(x)
-        assert not is_lefschetz(image.algebra, image)[0] and not is_strong_lefschetz(image.algebra, image)[0]
+        images = [a.image_map(l, i) for i in range(a.sigma)]
+        assert all((m == a.image_map(x, i)).all() for i, m in enumerate(images))
+        assert [rank_of(m, IMAGE_PRIME, None, 3) for m in images] == [1, 2, 1]  # x: A_1 -> A_2 is deficient
         exact = []
         build = ExtensionAlgebra.mult_map_matrix
 
@@ -253,10 +271,10 @@ class TestImage:
         x = a.generators()[0]
         b = a.extend("y", MonicPoly(a, 2, [x.scale(Fraction(1, IMAGE_PRIME)), a.zero(2)]))
         c = b.extend("z", MonicPoly.pure_power(b, 2))
-        assert a.image_of(x) is not None and a.image_of(x.scale(Fraction(2, IMAGE_PRIME))) is None
+        assert a.image_map(x, 0) is not None and a.image_map(x.scale(Fraction(2, IMAGE_PRIME)), 0) is None
         y = b.generator("y")
         for alg, l in ((b, y), (b, y + b.include(x)), (c, c.include(y))):
-            assert alg.image_of(l) is None
+            assert alg._tables is None and alg.image_map(l, 0) is None
             ok, profiles = is_strong_lefschetz(alg, l)
             assert profiles == exact_grid(alg, l) and ok == all(p.is_maximal for p in profiles)
             weak, profile = is_lefschetz(alg, l)
@@ -264,19 +282,33 @@ class TestImage:
         assert not is_strong_lefschetz(b, y)[0]  # y on B_1 -> B_2 has rank 1, as with x*y mod q
         assert is_strong_lefschetz(b, y + b.include(x))[0]
 
-    def test_quotient_whose_pivots_move_has_no_image(self):
-        # (q x + y) kills x over QQ and y mod q: equal dimensions, other kept coordinates.
+    def test_quotient_whose_projection_is_not_q_integral_has_no_image(self):
+        # (q x + y) kills x with pi = (-1/q, 1) on A_1: no tables.  (q x) is 0 mod q
+        # but kills x too, with pi = (0, 1): q-integral, so its tables reduce the maps.
         a = stanley22()
         x, y = a.generators()
-        g = x.scale(QQ.of(IMAGE_PRIME)) + y
-        b = a.quotient(g)
-        mod_q = a.image_of(g).algebra.quotient(a.image_of(g))
-        assert mod_q.dims == b.dims == (1, 1) and mod_q._kept != b._kept
-        assert b.image_of(b.one()) is None
-        assert a.quotient(x.scale(QQ.of(IMAGE_PRIME))).image_of(a.one()) is None  # g is 0 mod q
-        l = b.generators()[0]
+        b, c = a.quotient(x.scale(QQ.of(IMAGE_PRIME)) + y), a.quotient(x.scale(QQ.of(IMAGE_PRIME)))
+        assert b._pi[1].rows == ((Fraction(-1, IMAGE_PRIME), 1),) and c._pi[1].rows == ((0, 1),)
+        assert b._tables is None and c._tables is not None
+        for alg, l in ((b, b.generators()[0]), (c, c.generators()[1])):
+            ok, profiles = is_strong_lefschetz(alg, l)
+            assert ok and profiles == exact_grid(alg, l)
+
+    def test_checking_a_quotient_builds_no_algebra(self, monkeypatch):
+        # The image mod q is read off the algebra's own tables: no tower is replayed mod q.
+        a = monomial_complete_intersection(QQ, (2, 2, 3))
+        x, y, z = a.generators()
+        b = a.quotient(x * y + z * z)
+        l = b.project(x + y + z)
+        socle, grid = exact_socle(b), exact_grid(b, l)
+        built = []
+        for cls in (TrivialAlgebra, ExtensionAlgebra, QuotientAlgebra):
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__: (
+                built.append(type(self).__name__), init(self, *args))[1])
+        assert b.socle_dimensions() == (socle, sum(socle) == 1)
         ok, profiles = is_strong_lefschetz(b, l)
-        assert ok and profiles == exact_grid(b, l)
+        assert profiles == grid and ok == all(p.is_maximal for p in profiles)
+        assert built == [] and b._tables is not None
 
 
 class TestSearch:
