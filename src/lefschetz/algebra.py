@@ -337,16 +337,16 @@ class GradedAlgebra:
         """Map of w from degree i mod q, from the compiled tables."""
         (X, F), q, s = self._tables, self.modulus, w.degree
         of = int if isinstance(self.field, PrimeField) else GF(q).of  # ZeroDivisionError when q divides a QQ denominator
-        if s == 1:  # w = sum_g lambda_g g
-            m = np.zeros((self.dim(i + 1), self.dim(i)), dtype=np.int64)
-            for g, cols, P in F[1]:
-                lam = sum(of(w.coeffs[c]) * x for c, x in zip(cols, P[0].tolist())) % q
-                if lam:
-                    m = (m + lam * X[g][i]) % q
-            return m
         if self._last is None or self._last[0] != (s, w.coeffs):  # no element kept: it would pin self in a cycle
             self._last = ((s, w.coeffs), [np.array([*map(of, w.coeffs)], dtype=np.int64).reshape(-1, 1)])
         maps = self._last[1]
+        if s == 1:  # w = sum_g lambda_g g
+            m, v = np.zeros((self.dim(i + 1), self.dim(i)), dtype=np.int64), maps[0][:, 0].tolist()
+            for g, cols, P in F[1]:
+                lam = sum(v[c] * x for c, x in zip(cols, P[0].tolist())) % q
+                if lam:
+                    m = (m + lam * X[g][i]) % q
+            return m
         while len(maps) <= i:
             k = len(maps)
             m = np.zeros((self.dim(k + s), self.dim(k)), dtype=np.int64)
@@ -365,13 +365,13 @@ class GradedAlgebra:
     def socle_dimensions(self) -> tuple[list[int], bool]:
         """Per-degree dimension of the common kernel of all degree-1 generator maps, ranked by
         `rank_of` on the stacked generator tables; the algebra is Gorenstein iff it is a line."""
-        tables, socle = self._tables, []
+        tables, socle, k = self._tables, [], len(self.variable_names())
         # A closure over the loop's t and n, called only in the iteration that ranks degree t.
         exact = None if self.image_is_exact else lambda: Matrix.vstack(
             self.field, [self.mult_map_matrix(g, t) for g in self.generators()], n)
         for t, n in enumerate(self.dims):
             stack = tables and np.array([X[t] for X in tables[0]], dtype=np.int64).reshape(-1, n)
-            socle.append(n - rank_of(stack, self.modulus, exact, n))
+            socle.append(n - rank_of(stack, self.modulus, exact, min(n, k * self.dim(t + 1))))  # rank <= rows
         return socle, sum(socle) == 1
 
     def fingerprint(self) -> str:

@@ -4,7 +4,8 @@ A homogeneous element is Lefschetz when every multiplication map it induces
 between graded components has maximal rank.  Success of a single random
 element certifies the property for the algebra (the good locus is Zariski
 open), so the searches report three-valued verdicts and never claim disproof
-from failed sampling alone.
+from failed sampling alone.  Both searches and the maximal-rank check draw their
+forms through one sampling loop, `_sample`.
 
 Rank values are always exact.  Every map is ranked by one rule, `linalg.rank_of`,
 asked first of its image (`GradedAlgebra.image_map`): the exact map reduced mod q,
@@ -81,19 +82,19 @@ class RankProfile:
         return sum(1 for row in self.rows if row.is_maximal)
 
 
-def _profile_for_power(a: GradedAlgebra, w_power: Optional[HomogeneousElement], k: int, r: int,
-                       maximal: bool = False, facts: Optional[tuple] = None) -> RankProfile:
-    """Ranks of w_power = w^r, w of degree k, on every component; with maximal each rank is the bound
-    and w_power is not needed.  facts: (injective sources, onto targets) of longer powers of w."""
+def _profile_for_power(a: GradedAlgebra, w_power: HomogeneousElement, k: int, r: int,
+                       facts: Optional[tuple] = None) -> RankProfile:
+    """Ranks of w_power = w^r, w of degree k, on every component.
+    facts: (injective sources, onto targets) of longer powers of w."""
     rows, dims, deg, (injective, onto) = [], a.dims, k * r, facts or (set(), set())
-    zero = not maximal and w_power.is_zero()
+    zero = w_power.is_zero()
     # A closure over the loop's i, called only in the iteration that ranks row i.
     exact = None if a.image_is_exact else lambda: a.mult_map_matrix(w_power, i)
     for i, src in enumerate(dims):
         tgt = dims[i + deg] if i + deg < len(dims) else 0
         bound = min(src, tgt)
-        if maximal or zero or bound == 0:
-            rank = 0 if zero else bound
+        if zero or bound == 0:
+            rank = 0
         else:
             derived = i in injective or i + deg in onto or i and rows[i - 1].rank == rows[i - 1].dim_target
             rank = bound if derived else rank_of(a.image_map(w_power, i), a.modulus, exact, bound)
@@ -131,7 +132,9 @@ def is_strong_lefschetz(a: GradedAlgebra, l: HomogeneousElement) -> tuple[bool, 
         raise ValueError("element belongs to a different algebra")
     h, s = a.hilbert_function(), a.sigma
     if h == h[::-1] and _central_maps_bijective_on_image(a, l):
-        return True, [_profile_for_power(a, None, 1, r, True) for r in range(1, max(s, 1) + 1)]
+        return True, [RankProfile(1, r, tuple([ProfileRow(i, n, m, min(n, m), True)  # every rank is its bound
+                                               for i, (n, m) in enumerate(zip(h, h[r:] + [0] * r))]))
+                      for r in range(1, max(s, 1) + 1)]
     powers = list(accumulate([l] * max(s, 1), a.multiply, initial=a.one()))
     facts = (set(), set())  # shared by all powers, longest first
     profiles = [_profile_for_power(a, powers[r], 1, r, facts=facts) for r in range(len(powers) - 1, 0, -1)]
@@ -172,68 +175,57 @@ class LefschetzReport:
         return self.verdict is Verdict.CERTIFIED_SUCCESS
 
 
-def _element_profiles(a: GradedAlgebra, w: HomogeneousElement, mode: str):
+def _element_profiles(a: GradedAlgebra, w: HomogeneousElement, mode: str) -> list[RankProfile]:
     if mode == "weak":
-        ok, profile = is_lefschetz(a, w)
-        return ok, [profile]
+        return [is_lefschetz(a, w)[1]]
     if mode == "strong":
-        return is_strong_lefschetz(a, w)
+        return is_strong_lefschetz(a, w)[1]
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _first_failure(profiles) -> Optional[tuple[int, int]]:
-    for profile in profiles:
-        row = profile.first_failure()
-        if row is not None:
-            return (profile.power, row.i)
-    return None
+def _report(a: GradedAlgebra, mode: str, verdict: Verdict, element: Optional[str], trials_used: int,
+            seed: Optional[int], profiles: list[RankProfile]) -> LefschetzReport:
+    """The report, with the (power, degree) of the first non-maximal row unless the verdict is a success."""
+    failure = None if verdict is Verdict.CERTIFIED_SUCCESS else next(
+        ((p.power, p.first_failure().i) for p in profiles if not p.is_maximal), None)
+    return LefschetzReport(a.fingerprint(), mode, verdict, element, trials_used, seed, profiles, failure,
+                           isinstance(a.field, PrimeField))
+
+
+def _sample(a: GradedAlgebra, degree: int, trials: int, rng: random.Random, profiles_of):
+    """(ok, trial, str(w), profiles_of(w)) for the first of `trials` random forms w of `degree` whose
+    profiles are all maximal, else for the earliest with the most maximal rows, or (False, 0, None, [])
+    if every draw was zero.  A zero draw is skipped but counts as a trial."""
+    best, best_score = (False, 0, None, []), -1
+    for trial in range(1, trials + 1):
+        w = a.random_element(degree, rng)
+        if w.is_zero():
+            continue
+        profiles = profiles_of(w)
+        if all(p.is_maximal for p in profiles):
+            return True, trial, str(w), profiles
+        score = sum(p.maximal_count() for p in profiles)
+        if score > best_score:
+            best, best_score = (False, trial, str(w), profiles), score
+    return best
 
 
 def certify_element(a: GradedAlgebra, w: HomogeneousElement, mode: str = "weak") -> LefschetzReport:
     """Report for one specific element: certified success or a concrete
     element failure with its witness (power, degree)."""
-    ok, profiles = _element_profiles(a, w, mode)
-    return LefschetzReport(
-        algebra=a.fingerprint(),
-        mode=mode,
-        verdict=Verdict.CERTIFIED_SUCCESS if ok else Verdict.ELEMENT_FAILURE,
-        element=str(w),
-        trials_used=1,
-        seed=None,
-        profiles=profiles,
-        failure=None if ok else _first_failure(profiles),
-        probabilistic_field=isinstance(a.field, PrimeField),
-    )
+    profiles = _element_profiles(a, w, mode)
+    ok = all(p.is_maximal for p in profiles)
+    return _report(a, mode, Verdict.CERTIFIED_SUCCESS if ok else Verdict.ELEMENT_FAILURE, str(w), 1, None, profiles)
 
 
 def _search(a: GradedAlgebra, trials: int, seed: int, mode: str) -> LefschetzReport:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    prime = isinstance(a.field, PrimeField)
-    if a.dim(1) == 0:
-        if a.sigma > 0:
-            raise ValueError("no degree-1 elements to sample")
-        # The zero algebra component case: every map is empty, the zero
-        # element of degree 1 certifies the property vacuously.
-        return LefschetzReport(a.fingerprint(), mode, Verdict.CERTIFIED_SUCCESS, "0", 0, seed,
-                               probabilistic_field=prime)
-    rng = random.Random(seed)
-    best_profiles: list[RankProfile] = []
-    best_element: Optional[str] = None
-    best_score = -1
-    for trial in range(1, trials + 1):
-        w = a.random_element(1, rng)
-        if w.is_zero():
-            continue
-        ok, profiles = _element_profiles(a, w, mode)
-        if ok:
-            return LefschetzReport(a.fingerprint(), mode, Verdict.CERTIFIED_SUCCESS, str(w),
-                                   trial, seed, profiles, None, prime)
-        score = sum(p.maximal_count() for p in profiles)
-        if score > best_score:
-            best_score, best_profiles, best_element = score, profiles, str(w)
-    return LefschetzReport(a.fingerprint(), mode, Verdict.SEARCH_INCONCLUSIVE, best_element,
-                           trials, seed, best_profiles, _first_failure(best_profiles), prime)
+    if a.sigma == 0:  # every map is empty: the zero element of degree 1 certifies the property vacuously
+        return _report(a, mode, Verdict.CERTIFIED_SUCCESS, "0", 0, seed, [])
+    ok, trial, element, profiles = _sample(a, 1, trials, random.Random(seed), lambda w: _element_profiles(a, w, mode))
+    verdict = Verdict.CERTIFIED_SUCCESS if ok else Verdict.SEARCH_INCONCLUSIVE
+    return _report(a, mode, verdict, element, trial if ok else trials, seed, profiles)  # a failed search used them all
 
 
 def search_weak(a: GradedAlgebra, trials: int = 8, seed: int = 0) -> LefschetzReport:
@@ -275,24 +267,10 @@ def maximal_rank_property(a: GradedAlgebra, trials: int = 8, seed: int = 0) -> M
     check every induced map for maximal rank."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(seed)  # one stream across all degrees
     per_degree = []
     for d in range(1, a.sigma + 1):
-        verdict = Verdict.SEARCH_INCONCLUSIVE
-        element = None
-        used = 0
-        best_score = -1
-        for trial in range(1, trials + 1):
-            w = a.random_element(d, rng)
-            if w.is_zero():
-                continue
-            profile = _profile_for_power(a, w, d, 1)
-            if profile.is_maximal:
-                verdict, element, used = Verdict.CERTIFIED_SUCCESS, str(w), trial
-                break
-            score = profile.maximal_count()
-            if score > best_score:
-                best_score, element, used = score, str(w), trial
-        per_degree.append(DegreeVerdict(d, verdict, element, used))
-    return MaximalRankReport(a.fingerprint(), seed, trials, per_degree,
-                             isinstance(a.field, PrimeField))
+        ok, trial, element, _ = _sample(a, d, trials, rng, lambda w: [_profile_for_power(a, w, d, 1)])
+        verdict = Verdict.CERTIFIED_SUCCESS if ok else Verdict.SEARCH_INCONCLUSIVE
+        per_degree.append(DegreeVerdict(d, verdict, element, trial))
+    return MaximalRankReport(a.fingerprint(), seed, trials, per_degree, isinstance(a.field, PrimeField))

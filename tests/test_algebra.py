@@ -7,6 +7,7 @@ import pytest
 
 from lefschetz.algebra import (
     IMAGE_PRIME,
+    GradedAlgebra,
     MonicPoly,
     QuotientAlgebra,
     check_symmetric_unimodal,
@@ -308,7 +309,8 @@ class TestSocle:
         # B = A/(xy + q yz)/(xz + q yz) on A = QQ[x,y,z]/(x^2,y^2,z^2) is
         # Gorenstein, and its projections are q-integral.  Mod q the forms are
         # xy and xz, so x is in the socle of B's tables, and their degree-1 stack
-        # has rank 2 < 3: degree 1 falls back to the exact maps, degree 0 does not.
+        # has rank 2 < 3: degree 1 falls back to the exact maps.  Degree 0 does not,
+        # nor does the top degree, whose empty stack has rank 0 = its bound.
         a = monomial_complete_intersection(QQ, (2, 2, 2))
         x, y, z = a.generators()
         q = QQ.of(IMAGE_PRIME)
@@ -325,8 +327,18 @@ class TestSocle:
 
         monkeypatch.setattr(QuotientAlgebra, "mult_map_matrix", counting)
         assert b.socle_dimensions() == ([0, 0, 1], True)
-        assert sorted(set(exact)) == [1, 2]  # the top degree maps to zero: rank 0 < 1 on the image too
+        assert sorted(set(exact)) == [1]
         assert exact_socle(b) == [0, 0, 1]
+
+    def test_monomial_complete_intersection_over_qq_builds_no_map(self, monkeypatch):
+        # Every stacked table has full rank mod q, the top one with no rows.
+        a = monomial_complete_intersection(QQ, (2, 3, 2))
+
+        def refuse(self, w, i):
+            raise AssertionError(f"exact map built from degree {i}")
+
+        monkeypatch.setattr(GradedAlgebra, "mult_map_matrix", refuse)
+        assert a.socle_dimensions() == ([0] * a.sigma + [1], True)
 
     def test_no_image_is_ranked_exactly(self):
         a = monomial_complete_intersection(QQ, (3,))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,7 @@ from lefschetz.certify import (
     search_strong,
     search_weak,
 )
-from lefschetz.fields import GF, QQ
+from lefschetz.fields import GF, QQ, PrimeField
 from lefschetz.linalg import rank_of
 from lefschetz.theorems import certified_slp_disproof
 from lefschetz.sweeps import counterexample_base, generic_form_quotient, HILBERT_GENERIC_QUOTIENT
@@ -294,6 +295,16 @@ class TestImage:
             ok, profiles = is_strong_lefschetz(alg, l)
             assert ok and profiles == exact_grid(alg, l)
 
+    def test_a_linear_form_is_reduced_mod_q_once(self, monkeypatch):
+        # Its reduced coefficients are kept, as a chain's are: asking again reduces nothing.
+        a = monomial_complete_intersection(QQ, (2, 3, 2))
+        x, y, z = a.generators()
+        l = x.scale(Fraction(1, 3)) + y - z.scale(2)
+        first = [a.image_map(l, t) for t in range(a.sigma)]
+        reduced, of = [], PrimeField.of
+        monkeypatch.setattr(PrimeField, "of", lambda self, c: (reduced.append(c), of(self, c))[1])
+        assert all((a.image_map(l, t) == m).all() for t, m in enumerate(first)) and reduced == []
+
     def test_checking_a_quotient_builds_no_algebra(self, monkeypatch):
         # The image mod q is read off the algebra's own tables: no tower is replayed mod q.
         a = monomial_complete_intersection(QQ, (2, 2, 3))
@@ -339,6 +350,15 @@ class TestSearch:
         assert report.failure is not None
         assert report.probabilistic_field
 
+    def test_inconclusive_search_reports_its_best_form_and_every_trial(self):
+        # Over GF(2) neither search certifies (2, 2, 2) in 5 trials at seed 3; x3 is
+        # the first of the forms with the most maximal rows, and the search used all 5.
+        a = monomial_complete_intersection(GF(2), (2, 2, 2))
+        for search in (search_strong, search_weak):
+            report = search(a, trials=5, seed=3)
+            assert report.verdict is Verdict.SEARCH_INCONCLUSIVE
+            assert (report.element, report.trials_used, report.failure) == ("x3", 5, (1, 1))
+
     def test_trivial_algebra(self):
         from lefschetz.algebra import trivial_algebra
 
@@ -379,6 +399,16 @@ class TestMaximalRankProperty:
         assert report.all_certified
         assert [v.degree for v in report.per_degree] == list(range(1, 11))
 
+    def test_inconclusive_degree_reports_the_trial_of_its_best_form(self):
+        # One seeded stream across degrees; a zero draw counts as a trial, and
+        # the one-dimensional A_3 over GF(2) draws zero three times first.
+        report = maximal_rank_property(monomial_complete_intersection(GF(2), (2, 2, 2)), trials=5, seed=3)
+        assert [(v.degree, v.verdict, v.element, v.trials_used) for v in report.per_degree] == [
+            (1, Verdict.SEARCH_INCONCLUSIVE, "x3", 1),
+            (2, Verdict.CERTIFIED_SUCCESS, "x1*x3", 1),
+            (3, Verdict.CERTIFIED_SUCCESS, "x1*x2*x3", 4),
+        ]
+
     def test_reruns_reproduce(self):
         a = monomial_complete_intersection(QQ, (3, 2))
         first = maximal_rank_property(a, trials=4, seed=3)
@@ -402,3 +432,9 @@ class TestCounterexampleQuotientSearch:
         report = search_strong(b, trials=10, seed=2)
         assert report.certified
         assert report.trials_used == 1
+
+
+def test_one_sampling_loop_and_one_report_constructor():
+    # Both searches and the maximal-rank check draw forms in `_sample`, and `_report` builds every report.
+    text = (Path(__file__).resolve().parents[1] / "src" / "lefschetz" / "certify.py").read_text()
+    assert (text.count("random_element("), text.count("LefschetzReport(")) == (1, 1)
